@@ -26,12 +26,9 @@ from .qfield import ONE, Q, QMode, QRat, SYMBOLIC, ZERO
 from .pbw import (
     GeneratorId,
     Monomial,
-    MonomialOrder,
-    PAPER_LEX,
     Polynomial,
     Term,
     compare_monomials,
-    compare_word_lex,
     gen_index,
     gen_row_col,
     mono_divides,
@@ -43,8 +40,6 @@ from .straighten import (
     CheckResult,
     CommutationSystem,
     ValidationReport,
-    mono_mul,
-    poly_mul,
     quantum_plane,
     scalar_mul,
     validate_ordering,
@@ -63,7 +58,6 @@ from .groebner import (
     left_spoly,
 )
 from .dimension import (
-    PrefixSubset,
     Staircase,
     check_elimination_bound,
     eliminate_prefix,
@@ -102,15 +96,12 @@ __all__ = [
     "InvalidSpec",
     "MissingPair",
     "Monomial",
-    "MonomialOrder",
     "MqSpec",
     "NegativeGeneratorPower",
     "ONE",
-    "PAPER_LEX",
     "PairLimitExceeded",
     "ParseError",
     "Polynomial",
-    "PrefixSubset",
     "Q",
     "QMode",
     "QRat",
@@ -125,7 +116,6 @@ __all__ = [
     "check_elimination_bound",
     "classify_pair",
     "compare_monomials",
-    "compare_word_lex",
     "eliminate_prefix",
     "format_mono",
     "format_poly",
@@ -143,12 +133,10 @@ __all__ = [
     "make_staircase",
     "mono_divides",
     "mono_lcm",
-    "mono_mul",
     "mono_sub",
     "mono_sum",
     "parse_expr",
     "parse_poly",
-    "poly_mul",
     "quantum_determinant",
     "quantum_plane",
     "save_ideal",

@@ -15,7 +15,6 @@ import sys as _sys
 from fractions import Fraction
 
 from .dimension import (
-    PrefixSubset,
     Staircase,
     eliminate_prefix,
     gk_dimension,
@@ -151,10 +150,15 @@ def _emit(args, text_lines, json_obj) -> None:
             print(line)
 
 
-def _basis_for(args):
+def _ideal_for(args):
     system, gens, n, qstr, max_pairs = _resolve_system(args)
     if not gens:
         raise InvalidSpec("no ideal generators: pass --ideal or --file")
+    return system, gens, n, qstr, max_pairs
+
+
+def _basis_for(args):
+    system, gens, n, qstr, max_pairs = _ideal_for(args)
     basis = buchberger(gens, system, max_pairs=max_pairs)
     return system, basis, n, qstr
 
@@ -176,24 +180,33 @@ def _cmd_mul(args) -> int:
     return 0
 
 
-def _cmd_gb(args) -> int:
-    system, basis, n, qstr = _basis_for(args)
+def _emit_basis(args, system, basis, n, qstr, partial=False) -> None:
     rendered = [format_poly(g, system.gen_names) for g in basis.elements]
-    _emit(
-        args,
-        rendered,
-        {
-            "schema": SCHEMA,
-            "n": n,
-            "q": qstr,
-            "ordering": "paperlex",
-            "basis": rendered,
-            "stats": {
-                "pairs_considered": basis.stats.pairs_considered,
-                "reductions_to_zero": basis.stats.reductions_to_zero,
-            },
+    obj = {
+        "schema": SCHEMA,
+        "n": n,
+        "q": qstr,
+        "ordering": "paperlex",
+        "basis": rendered,
+        "stats": {
+            "pairs_considered": basis.stats.pairs_considered,
+            "reductions_to_zero": basis.stats.reductions_to_zero,
         },
-    )
+    }
+    if partial:
+        obj["partial"] = True
+    _emit(args, rendered, obj)
+
+
+def _cmd_gb(args) -> int:
+    system, gens, n, qstr, max_pairs = _ideal_for(args)
+    try:
+        basis = buchberger(gens, system, max_pairs=max_pairs)
+    except PairLimitExceeded as exc:
+        # a bounded run still prints the interreduced basis it reached
+        _emit_basis(args, system, exc.partial, n, qstr, partial=True)
+        raise
+    _emit_basis(args, system, basis, n, qstr)
     return 0
 
 
@@ -238,7 +251,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_eliminate(args) -> int:
     system, basis, n, qstr = _basis_for(args)
-    kept = eliminate_prefix(basis, PrefixSubset(args.keep))
+    kept = eliminate_prefix(basis, args.keep)
     rendered = [format_poly(g, system.gen_names) for g in kept]
     _emit(
         args,

@@ -118,27 +118,14 @@ def gk_dimension(st: Staircase) -> int:
     return st.dim - best
 
 
-@dataclass(frozen=True)
-class PrefixSubset:
-    """Retained generators are exactly the linear indices 0..s-1."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise InvalidPrefix(f"prefix size must be >= 1, got {self.s}")
-
-    def retained(self) -> tuple[int, ...]:
-        return tuple(range(self.s))
-
-
-def eliminate_prefix(G: GroebnerBasis, U) -> tuple[Polynomial, ...]:
-    """Basis elements supported entirely on the retained prefix.
+def eliminate_prefix(G: GroebnerBasis, s: int) -> tuple[Polynomial, ...]:
+    """Basis elements supported entirely on the generators 0..s-1.
 
     Nonempty exactly when the ideal meets the span of words in the first
     s generators, because the shipped ordering eliminates every prefix.
     """
-    s = U.s if isinstance(U, PrefixSubset) else PrefixSubset(s=int(U)).s
+    if s < 1:
+        raise InvalidPrefix(f"prefix size must be >= 1, got {s}")
     ngens = G.ngens
     if s > ngens - 1:
         raise InvalidPrefix(f"prefix size must be <= {ngens - 1}, got {s}")

@@ -22,15 +22,7 @@ class DimensionMismatch(QuantmatError, ValueError):
 
 
 class DegreeGuardExceeded(QuantmatError):
-    """A product would exceed the configured total-degree guard.
-
-    Carries ``partial`` when a long-running computation can hand back
-    intermediate state.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A product would exceed the configured total-degree guard."""
 
 
 class PairLimitExceeded(QuantmatError):

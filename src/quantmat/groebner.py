@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import EmptyBasis, InvalidSpec, PairLimitExceeded
-from .pbw import (
-    MonomialOrder,
-    Monomial,
-    PAPER_LEX,
-    Polynomial,
-    Term,
-    mono_divides,
-    mono_lcm,
-    mono_sub,
-)
+from .pbw import Monomial, Polynomial, Term, mono_divides, mono_lcm, mono_sub
 from .straighten import CommutationSystem, scalar_mul
 
 DEFAULT_MAX_PAIRS = 10_000
@@ -45,7 +36,6 @@ class GroebnerBasis:
     """
 
     elements: tuple[Polynomial, ...]
-    order: MonomialOrder = PAPER_LEX
     stats: BasisStats = field(default_factory=BasisStats)
     cofactors: Optional[tuple[tuple[Polynomial, ...], ...]] = None
     generators: Optional[tuple[Polynomial, ...]] = None
@@ -63,13 +53,6 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _require_shipped_order(order: MonomialOrder) -> None:
-    # canonical term storage is PaperLex-descending; a different comparator
-    # would silently disagree with lt()/lm()
-    if order != PAPER_LEX:
-        raise InvalidSpec(f"unsupported monomial order {order.name!r}")
-
-
 def _check_divisors(G: Sequence[Polynomial]) -> None:
     if not G:
         raise EmptyBasis("empty divisor sequence")
@@ -82,7 +65,6 @@ def left_divide(
     f: Polynomial,
     G: Sequence[Polynomial],
     sys: CommutationSystem,
-    order: MonomialOrder = PAPER_LEX,
 ) -> tuple[list[Polynomial], Polynomial]:
     """Divide f by G on the left: f = sum quotients[k]*G[k] + remainder.
 
@@ -90,7 +72,6 @@ def left_divide(
     the current leading monomial; no remainder term is divisible by any
     LM(G[k]).  The identity reconstructs exactly under poly_mul.
     """
-    _require_shipped_order(order)
     _check_divisors(G)
     ngens = f.ngens
     lms = [g.lm() for g in G]
@@ -118,14 +99,8 @@ def left_divide(
     return quotients, Polynomial(tuple(rem_terms), ngens)
 
 
-def left_spoly(
-    g1: Polynomial,
-    g2: Polynomial,
-    sys: CommutationSystem,
-    order: MonomialOrder = PAPER_LEX,
-) -> Polynomial:
+def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polynomial:
     """Lift both elements to the lcm of their LMs and cancel the heads."""
-    _require_shipped_order(order)
     if g1.is_zero() or g2.is_zero():
         raise InvalidSpec("S-polynomial of a zero polynomial")
     gamma = mono_lcm(g1.lm(), g2.lm())
@@ -194,7 +169,6 @@ class _Tracked:
 def buchberger(
     gens: Sequence[Polynomial],
     sys: CommutationSystem,
-    order: MonomialOrder = PAPER_LEX,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     track_cofactors: bool = False,
 ) -> GroebnerBasis:
@@ -203,7 +177,6 @@ def buchberger(
     Raises PairLimitExceeded with the interreduced partial basis attached
     when more than max_pairs S-pairs would be processed.
     """
-    _require_shipped_order(order)
     inputs = [g for g in gens if not g.is_zero()]
     if not inputs:
         raise EmptyBasis("no nonzero generators")
@@ -239,7 +212,6 @@ def buchberger(
             elems, cofs = _interreduce_raw(basis.elems, basis.cofs, sys, track_cofactors)
             partial = GroebnerBasis(
                 tuple(elems),
-                order,
                 BasisStats(pairs - 1, drops),
                 tuple(cofs) if track_cofactors else None,
                 tuple(inputs) if track_cofactors else None,
@@ -269,14 +241,14 @@ def buchberger(
     elems, cofs = _interreduce_raw(basis.elems, basis.cofs, sys, track_cofactors)
     result = GroebnerBasis(
         tuple(elems),
-        order,
         BasisStats(pairs, drops),
         tuple(cofs) if track_cofactors else None,
         tuple(inputs) if track_cofactors else None,
     )
     for g in inputs:
         _, r = left_divide(g, result.elements, sys)
-        assert r.is_zero(), "completed basis must reduce every input to zero"
+        if not r.is_zero():
+            raise AssertionError("completed basis must reduce every input to zero")
     return result
 
 
@@ -331,19 +303,15 @@ def _interreduce_raw(elems, cofs, sys, track):
     return [it[0] for it in items], [it[1] for it in items]
 
 
-def interreduce(
-    G: GroebnerBasis, sys: CommutationSystem, order: MonomialOrder = PAPER_LEX
-) -> GroebnerBasis:
+def interreduce(G: GroebnerBasis, sys: CommutationSystem) -> GroebnerBasis:
     """Reduced form: monic, no term divisible by another element's LM.
 
-    The result is unique for a fixed ordering and generates the same ideal.
+    The result is unique and generates the same ideal.
     """
-    _require_shipped_order(order)
     track = G.cofactors is not None
     elems, cofs = _interreduce_raw(list(G.elements), list(G.cofactors or ()), sys, track)
     return GroebnerBasis(
         tuple(elems),
-        G.order,
         G.stats,
         tuple(cofs) if track else None,
         G.generators,
@@ -354,5 +322,5 @@ def ideal_member(f: Polynomial, G: GroebnerBasis, sys: CommutationSystem) -> boo
     """True iff f left-reduces to zero by the completed basis."""
     if f.is_zero():
         return True
-    _, r = left_divide(f, G.elements, sys, G.order)
+    _, r = left_divide(f, G.elements, sys)
     return r.is_zero()

@@ -2,15 +2,15 @@
 
 A monomial is an exponent vector over the generator set; it stands for the
 word with generators written in strictly decreasing order.  The normative
-comparison scans exponents from the highest generator index down; the
-word-form comparison (prefix, then first differing letter) is kept as an
-independent oracle and the two are proven against each other in the tests.
+comparison (PaperLex, the only ordering the engine uses) scans exponents
+from the highest generator index down; the tests prove it against an
+independent word-form comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
 from .qfield import QRat
@@ -122,19 +122,6 @@ def compare_monomials(a: Monomial, b: Monomial) -> int:
     return GREATER if a._rev > b._rev else LESS
 
 
-def compare_word_lex(a: Monomial, b: Monomial) -> int:
-    """Word-form comparison: proper prefix is smaller, else the first
-    differing letter decides by generator order.  Test oracle only."""
-    _check_same_ngens(a, b)
-    wa, wb = a.word(), b.word()
-    for x, y in zip(wa, wb):
-        if x != y:
-            return GREATER if x > y else LESS
-    if len(wa) == len(wb):
-        return EQUAL
-    return LESS if len(wa) < len(wb) else GREATER
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     _check_same_ngens(a, b)
     return all(x <= y for x, y in zip(a.exps, b.exps))
@@ -155,23 +142,6 @@ def mono_sub(a: Monomial, b: Monomial) -> Monomial:
     """Exponentwise difference a - b; requires b | a."""
     _check_same_ngens(a, b)
     return Monomial(tuple(x - y for x, y in zip(a.exps, b.exps)))
-
-
-class MonomialOrder(NamedTuple):
-    """Named comparator on monomials; PaperLex is the only shipped order."""
-
-    name: str
-    compare: Callable[[Monomial, Monomial], int]
-
-    def max_term(self, terms):
-        best = None
-        for t in terms:
-            if best is None or self.compare(t.mono, best.mono) == GREATER:
-                best = t
-        return best
-
-
-PAPER_LEX = MonomialOrder("paperlex", compare_monomials)
 
 
 class Term(NamedTuple):
@@ -271,12 +241,7 @@ def poly_canonicalize(raw: Iterable[Term], ngens: int) -> Polynomial:
             )
         prev = acc.get(mono)
         acc[mono] = coeff if prev is None else prev + coeff
-    terms = tuple(
-        Term(c, m)
-        for m, c in sorted(acc.items(), key=lambda kv: kv[0]._rev, reverse=True)
-        if not c.is_zero()
-    )
-    return Polynomial(terms, ngens)
+    return poly_from_dict(acc, ngens)
 
 
 def poly_from_dict(acc: dict[Monomial, QRat], ngens: int) -> Polynomial:

@@ -142,10 +142,6 @@ class QMode:
         return self.value is None
 
     @staticmethod
-    def symbolic() -> "QMode":
-        return SYMBOLIC
-
-    @staticmethod
     def numeric(value) -> "QMode":
         return QMode(Fraction(value))
 
@@ -196,9 +192,6 @@ class QRat:
 
     def is_one(self) -> bool:
         return self.num == P_ONE and self.den == P_ONE
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == P_ONE
 
     # -- arithmetic ---------------------------------------------------
 
@@ -322,18 +315,3 @@ ONE = QRat(P_ONE, P_ONE, _canonical=True)
 Q = QRat(P_Q, P_ONE, _canonical=True)
 Q_INV = QRat(P_ONE, P_Q, _canonical=True)
 
-
-def qrat_add(a: QRat, b: QRat) -> QRat:
-    return a + b
-
-
-def qrat_mul(a: QRat, b: QRat) -> QRat:
-    return a * b
-
-
-def qrat_inv(a: QRat) -> QRat:
-    return a.inv()
-
-
-def qrat_specialize(a: QRat, mode: QMode) -> QRat:
-    return a.specialize(mode)

@@ -9,6 +9,7 @@ finite differences of the Hilbert function instead of subset search.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from quantmat import (
@@ -19,8 +20,26 @@ from quantmat import (
     QRat,
     build_mq,
 )
-from quantmat.pbw import Term, poly_canonicalize
+from quantmat.errors import DimensionMismatch
+from quantmat.pbw import EQUAL, GREATER, LESS, Term, poly_canonicalize
 from quantmat.qfield import ONE
+
+
+# -- ordering oracle: comparison of the written words --------------------
+
+
+def compare_word_lex(a: Monomial, b: Monomial) -> int:
+    """Word-form comparison: proper prefix is smaller, else the first
+    differing letter decides by generator order."""
+    if a.ngens != b.ngens:
+        raise DimensionMismatch(f"monomials over {a.ngens} and {b.ngens} generators")
+    wa, wb = a.word(), b.word()
+    for x, y in zip(wa, wb):
+        if x != y:
+            return GREATER if x > y else LESS
+    if len(wa) == len(wb):
+        return EQUAL
+    return LESS if len(wa) < len(wb) else GREATER
 
 
 # -- random data ----------------------------------------------------------
@@ -192,11 +211,17 @@ def left_multiples_span(n, gens, v: Fraction, max_degree: int):
     return span, index
 
 
+@lru_cache(maxsize=32)
+def _cached_span(n, gens: tuple, v: Fraction, max_degree: int):
+    # queries share a span; callers only read it (contains, rank, pivots)
+    return left_multiples_span(n, gens, v, max_degree)
+
+
 def membership_oracle(n, gens, f: Polynomial, max_degree: int, qvalues) -> bool:
     """f in the span of bounded left multiples at every sampled q?"""
     ngens = n * n
     for v in qvalues:
-        span, index = left_multiples_span(n, gens, v, max_degree)
+        span, index = _cached_span(n, tuple(gens), v, max_degree)
         fv = specialize_terms(f, v, ngens)
         if not span.contains(_vector(fv, index)):
             return False
@@ -211,7 +236,7 @@ def prefix_intersection_found(n, gens, s: int, max_degree: int, qvalues) -> bool
     """
     ngens = n * n
     for v in qvalues:
-        span, index = left_multiples_span(n, gens, v, max_degree)
+        span, index = _cached_span(n, tuple(gens), v, max_degree)
         prefix_rows = [
             m for m in index if all(e == 0 for e in m.exps[s:])
         ]

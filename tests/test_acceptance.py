@@ -28,7 +28,6 @@ from quantmat.pbw import (
     Polynomial,
     Term,
     compare_monomials,
-    compare_word_lex,
     mono_divides,
     mono_sum,
 )
@@ -41,6 +40,7 @@ from quantmat.textio import format_poly, parse_poly
 
 from oracles import (
     binomial_count,
+    compare_word_lex,
     growth_degree,
     membership_oracle,
     prefix_intersection_found,

@@ -184,9 +184,7 @@ def test_degree_limit_from_file_overrides_env(tmp_path, capsys, monkeypatch):
 
 
 def test_pair_limit_exits_3(capsys):
-    code, _, err = run(
-        capsys,
-        "gb",
+    argv = [
         "--n",
         "2",
         "--ideal",
@@ -195,9 +193,25 @@ def test_pair_limit_exits_3(capsys):
         "z[1,2]*z[2,1] + z[1,1]",
         "--max-pairs",
         "1",
-    )
+    ]
+    code, out, err = run(capsys, "gb", *argv)
     assert code == 3
-    assert err
+    assert err == "error: pair budget 1 exhausted\n"
+    # the interreduced partial basis still reaches stdout
+    assert out == (
+        "z[1,1]^2 - q^3/(q^2 + 1)*z[1,1]\n"
+        "z[2,1]*z[1,2] + z[1,1]\n"
+        "z[2,2] + z[1,1]\n"
+    )
+    code, out, _ = run(capsys, "gb", "--json", *argv)
+    assert code == 3
+    data = json.loads(out)
+    assert data["partial"] is True
+    assert data["basis"] == [
+        "z[1,1]^2 - q^3/(q^2 + 1)*z[1,1]",
+        "z[2,1]*z[1,2] + z[1,1]",
+        "z[2,2] + z[1,1]",
+    ]
 
 
 def test_console_script_maps_to_main():

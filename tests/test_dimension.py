@@ -3,7 +3,6 @@
 import pytest
 
 from quantmat.dimension import (
-    PrefixSubset,
     Staircase,
     check_elimination_bound,
     eliminate_prefix,
@@ -108,18 +107,20 @@ def test_gk_bounded_by_ngens(sys2):
         assert 0 <= gk_dimension(st) <= 4
 
 
-def test_prefix_subset():
-    u = PrefixSubset(2)
-    assert u.retained() == (0, 1)
-    with pytest.raises(InvalidPrefix):
-        PrefixSubset(0)
+def test_prefix_subset(sys2):
+    G = _diag_basis(sys2)
+    kept = eliminate_prefix(G, 2)
+    assert all(m.top() < 2 for p in kept for _, m in p.terms)
+    for s in (0, -1):
+        with pytest.raises(InvalidPrefix):
+            eliminate_prefix(G, s)
 
 
 def test_eliminate_fixture(sys2):
     G = _diag_basis(sys2)
     kept3 = eliminate_prefix(G, 3)
     assert tuple(p.lm().exps for p in kept3) == ((1, 0, 0, 0), (0, 1, 1, 0))
-    kept1 = eliminate_prefix(G, PrefixSubset(1))
+    kept1 = eliminate_prefix(G, 1)
     assert tuple(p.lm().exps for p in kept1) == ((1, 0, 0, 0),)
     assert eliminate_prefix(buchberger([sys2.gen_poly(3)], sys2), 3) == ()
 

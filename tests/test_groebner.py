@@ -1,6 +1,8 @@
 """Left division, S-polynomials, completion, and ideal membership."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,14 +16,7 @@ from quantmat.groebner import (
     left_divide,
     left_spoly,
 )
-from quantmat.pbw import (
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    Term,
-    compare_monomials,
-    poly_canonicalize,
-)
+from quantmat.pbw import Monomial, Polynomial, Term, poly_canonicalize
 from quantmat.qfield import ONE, Q, QRat
 from quantmat.straighten import scalar_mul
 
@@ -254,9 +249,47 @@ def test_empty_and_invalid_inputs(sys2):
         buchberger([Polynomial.zero(4)], sys2)
     with pytest.raises(InvalidSpec):
         left_divide(_gp(sys2, 0), [Polynomial.zero(4)], sys2)
-    other = MonomialOrder("revlex", lambda a, b: -compare_monomials(a, b))
-    with pytest.raises(InvalidSpec):
-        buchberger([_gp(sys2, 0)], sys2, order=other)
+
+
+_DROP_ELEMENT_SCRIPT = """
+import quantmat.groebner as gb
+from quantmat import MqSpec, build_mq, parse_poly
+
+if __debug__:
+    raise SystemExit("expected python -O")
+real = gb._interreduce_raw
+
+
+def drop_last(*args):
+    elems, cofs = real(*args)
+    return elems[:-1], cofs[:-1]
+
+
+gb._interreduce_raw = drop_last
+S = build_mq(MqSpec(2))
+try:
+    gb.buchberger([parse_poly("z[1,1]", S), parse_poly("z[2,2]", S)], S)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
+"""
+
+
+def test_completion_self_check_survives_optimize(module_cli):
+    # `python -O` strips assert statements; the final input check must stay
+    _, env = module_cli
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ELEMENT_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "raised: completed basis must reduce every input to zero\n"
+    )
 
 
 def test_lm_of_basis_divides_members(sys2):

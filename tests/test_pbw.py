@@ -6,12 +6,10 @@ import pytest
 
 from quantmat.errors import DimensionMismatch, IndexOutOfRange
 from quantmat.pbw import (
-    PAPER_LEX,
     Monomial,
     Polynomial,
     Term,
     compare_monomials,
-    compare_word_lex,
     gen_index,
     gen_row_col,
     mono_divides,
@@ -24,7 +22,7 @@ from quantmat.pbw import (
 )
 from quantmat.qfield import ONE, Q, QRat, ZERO
 
-from oracles import rand_monomial, rand_poly
+from oracles import compare_word_lex, rand_monomial, rand_poly
 
 
 def test_gen_index_linearization():
@@ -168,11 +166,6 @@ def test_sort_key_agrees_with_compare():
     by_key = sorted(monos, key=lambda m: m.sort_key())
     for x, y in zip(by_key, by_key[1:]):
         assert compare_monomials(x, y) <= 0
-
-
-def test_paper_lex_is_named():
-    assert PAPER_LEX.name == "paperlex"
-    assert PAPER_LEX.compare is compare_monomials
 
 
 def test_polynomial_canonicalize_merges_and_sorts():

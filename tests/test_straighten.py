@@ -1,6 +1,8 @@
 """Straightening engine: normal-form products and the table validators."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -12,7 +14,6 @@ from quantmat.errors import (
 )
 from quantmat.pbw import (
     Monomial,
-    MonomialOrder,
     Polynomial,
     Term,
     compare_monomials,
@@ -226,10 +227,9 @@ def test_validate_ordering_passes(sys2, sys3):
 
 
 def test_validate_ordering_catches_reversed_comparator(sys2):
-    reversed_order = MonomialOrder(
-        "reversed", lambda a, b: -compare_monomials(a, b)
+    report = validate_ordering(
+        sys2, compare=lambda a, b: -compare_monomials(a, b), samples=300, seed=5
     )
-    report = validate_ordering(sys2, order=reversed_order, samples=300, seed=5)
     assert not report.ok
     assert report.failures()
 
@@ -243,6 +243,22 @@ def test_cache_effectiveness(sys2):
     sys.mono_mul(u, v)
     assert sys.cache_info().misses == first
     assert sys.cache_info().hits > 0
+
+
+def test_dropped_system_is_freed_without_collector(sys2):
+    # the memo must not hold its system alive through a reference cycle
+    sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
+    sys.mono_mul(Monomial((2, 1, 0, 1)), Monomial((0, 1, 2, 0)))
+    assert sys.cache_info().currsize > 0
+    ref = weakref.ref(sys)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sys
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_degree_guard():
