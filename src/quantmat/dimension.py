@@ -4,9 +4,12 @@ The leading exponents of a left Groebner basis generate a monomial ideal;
 its complement (the standard monomials) is a linear basis of the cyclic
 quotient.  Counting that complement degree by degree gives the Hilbert
 function, and the growth degree of the count is the Gelfand-Kirillov
-dimension of the quotient.  Because the shipped ordering eliminates every
-prefix of the generator list, intersecting the basis with a prefix
-subalgebra is a support filter.
+dimension of the quotient.  Hilbert counts come from the numerator N(t) of
+the Hilbert series HS(t) = N(t)/(1-t)^n, found by Bigatti's pivot recursion
+(A. M. Bigatti, J. Pure Appl. Algebra 119, 1997), so their cost depends on
+the staircase and not on the degree.  Because the shipped ordering
+eliminates every prefix of the generator list, intersecting the basis with
+a prefix subalgebra is a support filter.
 """
 
 from __future__ import annotations
@@ -20,6 +23,19 @@ from .pbw import Polynomial
 from .straighten import CheckResult, ValidationReport
 
 
+def _divides(w, v) -> bool:
+    return all(a <= b for a, b in zip(w, v))
+
+
+def _minimal(vectors) -> list[tuple[int, ...]]:
+    """Divisibility-minimal members of a set of exponent vectors."""
+    kept: list[tuple[int, ...]] = []
+    for v in sorted(set(vectors), key=sum):
+        if not any(_divides(w, v) for w in kept):
+            kept.append(v)
+    return kept
+
+
 @dataclass(frozen=True)
 class Staircase:
     """Antichain of minimal leading exponents of a monomial ideal."""
@@ -31,20 +47,19 @@ class Staircase:
         for v in self.mins:
             if len(v) != self.dim:
                 raise ValueError(f"exponent vector {v} has wrong length")
-            for w in self.mins:
-                if w is not v and all(a <= b for a, b in zip(w, v)):
+        for i, v in enumerate(self.mins):
+            for j, w in enumerate(self.mins):
+                if i == j:
+                    continue
+                if w == v:
+                    raise ValueError(f"{v} is repeated: mins must be distinct")
+                if _divides(w, v):
                     raise ValueError(f"{w} divides {v}: mins must be an antichain")
 
 
 def make_staircase(dim: int, vectors) -> Staircase:
     """Antichain of the given exponent vectors (divisibility-minimal ones)."""
-    vecs = sorted(set(tuple(v) for v in vectors))
-    mins = [
-        v
-        for v in vecs
-        if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vecs)
-    ]
-    mins.sort(key=lambda v: tuple(reversed(v)))
+    mins = sorted(_minimal(tuple(v) for v in vectors), key=lambda v: v[::-1])
     return Staircase(dim, tuple(mins))
 
 
@@ -54,36 +69,66 @@ def leading_staircase(G: GroebnerBasis) -> Staircase:
     return make_staircase(G.ngens, (g.lm().exps for g in G.elements))
 
 
+def _numerator(mins) -> list[int]:
+    """Coefficients of N(t), where HS(t) = N(t)/(1-t)^n for the ideal of mins.
+
+    `mins` must be an antichain.  Splits on a pivot p by
+    N(I) = N(I + (p)) + t^deg(p) * N(I : p) until the supports of the
+    minima are pairwise disjoint, where N is the product of (1 - t^deg m).
+    """
+    if not mins:
+        return [1]
+    dim = len(mins[0])
+    if any(not any(m) for m in mins):
+        return [0]  # the unit ideal: nothing is standard
+    shared = [0] * dim
+    for m in mins:
+        for i, a in enumerate(m):
+            if a:
+                shared[i] += 1
+    i = max(range(dim), key=shared.__getitem__)
+    if shared[i] < 2:
+        out = [1]
+        for m in mins:
+            g = sum(m)
+            nxt = out + [0] * g
+            for k, c in enumerate(out):
+                nxt[k + g] -= c
+            out = nxt
+        return out
+    # p = x_i^e with e the median exponent of x_i over the minima that are
+    # not pure powers of x_i; a pure power x_i^a in the antichain has a
+    # above every such exponent, so p is not in the ideal and both
+    # branches grow it
+    exps = sorted(m[i] for m in mins if m[i] and sum(m) != m[i])
+    e = exps[len(exps) // 2]
+    power = tuple(e if j == i else 0 for j in range(dim))
+    plus = [m for m in mins if m[i] < e]
+    plus.append(power)
+    colon = _minimal(m[:i] + (max(m[i] - e, 0),) + m[i + 1 :] for m in mins)
+    low, high = _numerator(plus), [0] * e + _numerator(colon)
+    if len(low) < len(high):
+        low, high = high, low
+    for k, c in enumerate(high):
+        low[k] += c
+    return low
+
+
 def hilbert_count(st: Staircase, d: int) -> int:
-    """Number of degree-d exponent vectors divisible by no staircase minimum."""
+    """Number of degree-d exponent vectors divisible by no staircase minimum.
+
+    The coefficient of t^d in N(t)/(1-t)^n: the sum over k <= d of
+    N_k * C(d - k + n - 1, n - 1), with N from Bigatti's pivot recursion
+    (J. Pure Appl. Algebra 119, 1997).
+    """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    dim = st.dim
-    suffix = {m: [0] * (dim + 1) for m in st.mins}
-    for m in st.mins:
-        for pos in range(dim - 1, -1, -1):
-            suffix[m][pos] = suffix[m][pos + 1] + m[pos]
-
-    def count(pos: int, rem: int, active: tuple) -> int:
-        if not active:
-            # free completions of the remaining coordinates
-            if pos == dim:
-                return 1 if rem == 0 else 0
-            return comb(rem + dim - pos - 1, dim - pos - 1)
-        if pos == dim:
-            # some minimum matched on every coordinate
-            return 0
-        if rem == 0:
-            return 0 if any(suffix[m][pos] == 0 for m in active) else 1
-        total = 0
-        for e in range(rem + 1):
-            nxt = tuple(
-                m for m in active if m[pos] <= e and suffix[m][pos + 1] <= rem - e
-            )
-            total += count(pos + 1, rem - e, nxt)
-        return total
-
-    return count(0, d, st.mins)
+    num = _numerator(st.mins)
+    if st.dim == 0:
+        # no variables: HS(t) = N(t)
+        return num[d] if d < len(num) else 0
+    r = st.dim - 1
+    return sum(c * comb(d - k + r, r) for k, c in enumerate(num[: d + 1]))
 
 
 def gk_dimension(st: Staircase) -> int:

@@ -2,14 +2,16 @@
 
 Everything here deliberately uses a different strategy from the package:
 word-by-word rewriting instead of memoized generator folds, dense Fraction
-linear algebra at rational q values instead of symbolic division, and
-finite differences of the Hilbert function instead of subset search.
+linear algebra at rational q values instead of symbolic division, finite
+differences of the Hilbert function instead of subset search, and
+enumeration of standard monomials instead of the Hilbert-series numerator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from quantmat import (
@@ -277,3 +279,34 @@ def growth_degree(counts) -> int:
 
 def binomial_count(ngens, d) -> int:
     return comb(d + ngens - 1, ngens - 1)
+
+
+def brute_hilbert_count(mins, dim, d) -> int:
+    """Degree-d exponent vectors in dim variables divisible by no minimum.
+
+    Enumerates every vector by stars and bars: the dim - 1 bars sit at
+    positions of range(d + dim - 1) and the gaps between them are the
+    exponents.
+    """
+    if dim == 0:
+        vectors = [()] if d == 0 else []
+    else:
+        vectors = []
+        for bars in combinations(range(d + dim - 1), dim - 1):
+            edges = (-1, *bars, d + dim - 1)
+            vectors.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return sum(
+        1
+        for v in vectors
+        if not any(all(a <= b for a, b in zip(m, v)) for m in mins)
+    )
+
+
+def quantum_minors(n) -> list[str]:
+    """The 2x2 quantum minors z[a,c]*z[b,d] - q*z[a,d]*z[b,c] of M_q(n)."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return [
+        f"z[{a},{c}]*z[{b},{d}] - q*z[{a},{d}]*z[{b},{c}]"
+        for a, b in pairs
+        for c, d in pairs
+    ]

@@ -2,12 +2,15 @@
 
 import json
 import subprocess
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from quantmat.cli import run_command
 from quantmat.textio import IdealFile, save_ideal
+
+from oracles import quantum_minors
 
 DIAG = ["--n", "2", "--ideal", "z[1,1]", "--ideal", "z[2,2]"]
 
@@ -71,6 +74,21 @@ def test_hilbert(capsys):
     assert (code, out) == (0, "1, 4, 10, 20, 35\n")
     code, out, _ = run(capsys, "hilbert", "--maxdeg", "2", *DIAG)
     assert (code, out) == (0, "1, 2, 2\n")
+
+
+def test_hilbert_high_degree_minors(module_cli):
+    # M_q(3) modulo its nine 2x2 quantum minors: C(d+2,2)^2 words in degree d
+    command, env = module_cli
+    ideal = [arg for m in quantum_minors(3) for arg in ("--ideal", m)]
+    proc = subprocess.run(
+        command + ["hilbert", "--n", "3", "--maxdeg", "24", *ideal],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    expected = ", ".join(str(comb(d + 2, 2) ** 2) for d in range(25)) + "\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 def test_eliminate(capsys):

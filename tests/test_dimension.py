@@ -1,7 +1,11 @@
 """Hilbert counting, growth dimension, and prefix elimination."""
 
+import random
+from math import comb
+
 import pytest
 
+from quantmat import dimension, parse_poly
 from quantmat.dimension import (
     Staircase,
     check_elimination_bound,
@@ -14,7 +18,13 @@ from quantmat.dimension import (
 from quantmat.errors import EmptyBasis, InvalidPrefix
 from quantmat.groebner import GroebnerBasis, buchberger
 
-from oracles import binomial_count, growth_degree, prefix_intersection_found
+from oracles import (
+    binomial_count,
+    brute_hilbert_count,
+    growth_degree,
+    prefix_intersection_found,
+    quantum_minors,
+)
 
 QVALUES = (2, 3)
 
@@ -33,6 +43,16 @@ def test_staircase_rejects_non_antichain():
         Staircase(2, ((1, 0), (1, 1)))
     with pytest.raises(ValueError):
         Staircase(2, ((1, 0, 0),))
+
+
+def test_staircase_rejects_repeated_minimum():
+    v = (1, 0)
+    with pytest.raises(ValueError, match="repeated"):
+        Staircase(2, (v, v))
+    w = tuple([1, 0])
+    assert w == v and w is not v
+    with pytest.raises(ValueError, match="repeated"):
+        Staircase(2, (v, w))
 
 
 def test_leading_staircase_fixture(sys2):
@@ -63,6 +83,102 @@ def test_hilbert_collapsed_quotient():
     full = make_staircase(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert hilbert_count(full, 0) == 1
     assert all(hilbert_count(full, d) == 0 for d in range(1, 5))
+
+
+def _random_staircases(seed, count):
+    # dims 1..6, up to 8 minima, exponents 0..4 (a zero vector is the unit
+    # ideal)
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 6)
+        vectors = [
+            tuple(rng.randint(0, 4) for _ in range(dim))
+            for _ in range(rng.randint(0, 8))
+        ]
+        yield make_staircase(dim, vectors)
+
+
+def _minors_staircase(sys3):
+    gens = [parse_poly(m, sys3) for m in quantum_minors(3)]
+    return leading_staircase(buchberger(gens, sys3))
+
+
+def test_hilbert_matches_brute_oracle():
+    for st in _random_staircases(1997, 150):
+        for d in range(11):
+            assert hilbert_count(st, d) == brute_hilbert_count(st.mins, st.dim, d), (
+                st,
+                d,
+            )
+
+
+def test_numerator_sees_only_antichains(monkeypatch):
+    # every recursive call goes through the module name, so the wrapper
+    # checks each intermediate staircase: no repeated or divisible minimum
+    numerator = dimension._numerator
+    calls = []
+
+    def checked(mins):
+        calls.append(Staircase(len(mins[0]) if mins else 0, tuple(mins)))
+        return numerator(mins)
+
+    monkeypatch.setattr(dimension, "_numerator", checked)
+    for st in _random_staircases(1992, 40):
+        hilbert_count(st, 3)
+    assert len(calls) > 40
+
+
+def test_hilbert_minors_closed_form(sys3):
+    # M_q(3) modulo its nine 2x2 quantum minors: C(d+2,2)^2 standard words
+    st = _minors_staircase(sys3)
+    assert [hilbert_count(st, d) for d in range(41)] == [
+        comb(d + 2, 2) ** 2 for d in range(41)
+    ]
+
+
+def test_hilbert_power_of_maximal_ideal():
+    # (x, y)^k: every degree below k is free (d + 1 words), none from k up
+    k = 300
+    st = Staircase(2, tuple((a, k - a) for a in range(k + 1)))
+    for d in (0, 1, k - 1):
+        assert hilbert_count(st, d) == d + 1
+    for d in (k, k + 5):
+        assert hilbert_count(st, d) == 0
+
+
+def test_hilbert_unit_ideal_and_no_variables():
+    for dim in range(5):
+        unit = Staircase(dim, ((0,) * dim,))
+        assert all(hilbert_count(unit, d) == 0 for d in range(6))
+    none = Staircase(0, ())
+    assert hilbert_count(none, 0) == 1
+    assert all(hilbert_count(none, d) == 0 for d in range(1, 6))
+
+
+def _series_gk(st):
+    """dim minus the multiplicity of t = 1 as a root of the numerator."""
+    num = dimension._numerator(st.mins)
+    if not any(num):
+        return 0
+    mult = 0
+    while True:
+        # synthetic division by (t - 1)
+        quot, acc = [], 0
+        for c in reversed(num):
+            acc += c
+            quot.append(acc)
+        if quot.pop() != 0:
+            return st.dim - mult
+        num = quot[::-1]
+        mult += 1
+
+
+def test_gk_matches_series_pole_order(sys3):
+    for st in _random_staircases(1992, 150):
+        assert gk_dimension(st) == _series_gk(st), st
+    assert _series_gk(Staircase(3, ((0, 0, 0),))) == 0
+    minors = _minors_staircase(sys3)
+    assert gk_dimension(minors) == _series_gk(minors) == 5
 
 
 def test_hilbert_rejects_negative_degree():
