@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="left ideal generator (repeatable)",
             )
             p.add_argument("--file", help="JSON ideal file")
-            p.add_argument("--max-pairs", type=int, help="S-pair budget")
+            p.add_argument("--max-pairs", type=int, help="budget of S-polynomials formed")
 
     p = sub.add_parser("nf", help="normal form of an expression")
     common(p)
@@ -191,6 +191,7 @@ def _emit_basis(args, system, basis, n, qstr, partial=False) -> None:
         "stats": {
             "pairs_considered": basis.stats.pairs_considered,
             "reductions_to_zero": basis.stats.reductions_to_zero,
+            "chain_skips": basis.stats.chain_skips,
         },
     }
     if partial:

@@ -44,10 +44,6 @@ def pneg(a: QPoly) -> QPoly:
     return tuple(-c for c in a)
 
 
-def psub(a: QPoly, b: QPoly) -> QPoly:
-    return padd(a, pneg(b))
-
-
 def pmul(a: QPoly, b: QPoly) -> QPoly:
     if not a or not b:
         return P_ZERO
@@ -63,12 +59,6 @@ def pmul(a: QPoly, b: QPoly) -> QPoly:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return pstrip(out)
-
-
-def pscale(a: QPoly, c: Coef) -> QPoly:
-    if not c:
-        return P_ZERO
-    return tuple(c * x for x in a)
 
 
 def pdivmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:

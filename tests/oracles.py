@@ -3,8 +3,9 @@
 Everything here deliberately uses a different strategy from the package:
 word-by-word rewriting instead of memoized generator folds, dense Fraction
 linear algebra at rational q values instead of symbolic division, finite
-differences of the Hilbert function instead of subset search, and
-enumeration of standard monomials instead of the Hilbert-series numerator.
+differences of the Hilbert function instead of subset search,
+enumeration of standard monomials instead of the Hilbert-series numerator,
+and every S-pair of a basis instead of completion's pair criteria.
 """
 
 from __future__ import annotations
@@ -121,6 +122,65 @@ def naive_poly_mul(sys, f: Polynomial, g: Polynomial) -> Polynomial:
                 tuple(Term(cf * cg * c, m) for c, m in prod.terms), sys.ngens
             )
     return acc
+
+
+# -- Groebner certificate: every S-pair, no criterion ---------------------
+
+
+def _scaled(c: QRat, p: Polynomial) -> Polynomial:
+    return Polynomial(tuple(Term(c * a, m) for a, m in p.terms), p.ngens)
+
+
+def _left_lift(sys, exps, g: Polynomial) -> Polynomial:
+    """z^exps * g by word rewriting."""
+    return naive_poly_mul(sys, Polynomial((Term(ONE, Monomial(exps)),), sys.ngens), g)
+
+
+def _lm_divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a.exps, b.exps))
+
+
+def _reduces_to_zero(f: Polynomial, G, sys) -> bool:
+    """True iff top reduction by G, first dividing LM first, ends at zero.
+
+    The divisor choice does not change the verdict of is_left_groebner:
+    one path to zero gives an S-polynomial a standard representation, and
+    by a Groebner basis every path from an ideal member ends at zero.
+    """
+    p = f
+    while not p.is_zero():
+        c, m = p.lt()
+        g = next((g for g in G if _lm_divides(g.lm(), m)), None)
+        if g is None:
+            return False
+        h = _left_lift(sys, [y - x for x, y in zip(g.lm().exps, m.exps)], g)
+        p = p - _scaled(c / h.lc(), h)
+    return True
+
+
+def _s_pair(g1: Polynomial, g2: Polynomial, sys) -> Polynomial:
+    a, b = g1.lm().exps, g2.lm().exps
+    gamma = [max(x, y) for x, y in zip(a, b)]
+    h1 = _left_lift(sys, [z - x for z, x in zip(gamma, a)], g1)
+    h2 = _left_lift(sys, [z - y for z, y in zip(gamma, b)], g2)
+    return _scaled(h1.lc().inv(), h1) - _scaled(h2.lc().inv(), h2)
+
+
+def is_left_groebner(G, gens, sys) -> bool:
+    """True iff G is a left Groebner basis whose left ideal holds every gen.
+
+    Buchberger's test with no pair discarded: the S-polynomial of every
+    pair of G, and every generator, reduces to zero by G.  Products are
+    formed by word rewriting (naive_poly_mul), not by the engine.  That
+    G lies in the ideal of gens is not checked here.
+    """
+    elems = list(G)
+    if not elems or any(g.is_zero() for g in elems):
+        return False
+    for a, b in combinations(range(len(elems)), 2):
+        if not _reduces_to_zero(_s_pair(elems[a], elems[b], sys), elems, sys):
+            return False
+    return all(_reduces_to_zero(f, elems, sys) for f in gens)
 
 
 # -- membership oracle: dense linear algebra at rational q ----------------

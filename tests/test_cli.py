@@ -51,7 +51,11 @@ def test_gb_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == 1
     assert doc["basis"] == ["z[1,1]", "z[2,1]*z[1,2]", "z[2,2]"]
-    assert doc["stats"] == {"pairs_considered": 3, "reductions_to_zero": 2}
+    assert doc["stats"] == {
+        "pairs_considered": 3,
+        "reductions_to_zero": 2,
+        "chain_skips": 0,
+    }
 
 
 def test_member_exit_codes(capsys):

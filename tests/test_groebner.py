@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from quantmat import MqSpec, build_mq, format_poly, parse_poly
 from quantmat.errors import EmptyBasis, InvalidSpec, PairLimitExceeded
 from quantmat.groebner import (
+    BasisStats,
     GroebnerBasis,
     buchberger,
     ideal_member,
@@ -17,10 +19,16 @@ from quantmat.groebner import (
     left_spoly,
 )
 from quantmat.pbw import Monomial, Polynomial, Term, poly_canonicalize
-from quantmat.qfield import ONE, Q, QRat
-from quantmat.straighten import scalar_mul
+from quantmat.qfield import ONE, Q, QMode, QRat
+from quantmat.straighten import quantum_plane, scalar_mul, weyl_algebra
 
-from oracles import membership_oracle, rand_poly
+from oracles import (
+    is_left_groebner,
+    membership_oracle,
+    quantum_minors,
+    rand_poly,
+    specialize_terms,
+)
 
 QVALUES = (Fraction(2), Fraction(3), Fraction(1, 2))
 
@@ -162,6 +170,60 @@ def test_completion_soundness(sys2, sys3):
                     assert r.is_zero()
             for g0 in gens:
                 assert ideal_member(g0, G, sys)
+
+
+# system, q value inputs are specialized at (None: symbolic), instances,
+# max degree and max terms of each of the three generators
+CERTIFIED_FAMILIES = {
+    "mq2": (lambda: build_mq(MqSpec(2)), None, 40, 2, 2),
+    "mq3_symbolic": (lambda: build_mq(MqSpec(3)), None, 30, 2, 2),
+    "mq3_q2": (lambda: build_mq(MqSpec(3, QMode.numeric(2))), Fraction(2), 30, 2, 2),
+    "quantum_plane": (quantum_plane, None, 40, 3, 3),
+    "weyl": (weyl_algebra, None, 40, 3, 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CERTIFIED_FAMILIES))
+def test_completion_passes_full_pair_check(family):
+    # the chain criterion skips pairs; the oracle forms every one of them
+    make, qv, count, deg, terms = CERTIFIED_FAMILIES[family]
+    sys = make()
+    skips = 0
+    for seed in range(count):
+        rng = random.Random(seed)
+        gens = [rand_poly(rng, sys.ngens, deg, terms) for _ in range(3)]
+        if qv is not None:
+            gens = [specialize_terms(g, qv, sys.ngens) for g in gens]
+        G = buchberger(gens, sys)
+        assert is_left_groebner(G.elements, gens, sys)
+        skips += G.stats.chain_skips
+    assert skips > 0
+
+
+def test_chain_criterion_on_quantum_minors(sys3):
+    gens = [parse_poly(m, sys3) for m in quantum_minors(3)]
+    G = buchberger(gens, sys3)
+    # 36 pairs without the criterion, every one reducing to zero
+    assert G.stats == BasisStats(
+        pairs_considered=17, reductions_to_zero=17, chain_skips=19
+    )
+    assert [format_poly(g, sys3.gen_names) for g in G] == [
+        "z[2,2]*z[1,1] - 1/q*z[2,1]*z[1,2]",
+        "z[2,3]*z[1,1] - 1/q*z[2,1]*z[1,3]",
+        "z[2,3]*z[1,2] - 1/q*z[2,2]*z[1,3]",
+        "z[3,2]*z[1,1] - 1/q*z[3,1]*z[1,2]",
+        "z[3,2]*z[2,1] - 1/q*z[3,1]*z[2,2]",
+        "z[3,3]*z[1,1] - 1/q*z[3,1]*z[1,3]",
+        "z[3,3]*z[1,2] - 1/q*z[3,2]*z[1,3]",
+        "z[3,3]*z[2,1] - 1/q*z[3,1]*z[2,3]",
+        "z[3,3]*z[2,2] - 1/q*z[3,2]*z[2,3]",
+    ]
+    assert is_left_groebner(G.elements, gens, sys3)
+    # skipped pairs are not charged to the budget
+    assert buchberger(gens, sys3, max_pairs=17).elements == G.elements
+    with pytest.raises(PairLimitExceeded) as exc:
+        buchberger(gens, sys3, max_pairs=16)
+    assert exc.value.partial.stats.pairs_considered == 16
 
 
 def test_reduced_basis_canonical_under_shuffle(sys2):
