@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import EmptyBasis, InvalidSpec, PairLimitExceeded
 from .pbw import Monomial, Polynomial, Term, mono_divides, mono_lcm, mono_sub
@@ -36,16 +36,10 @@ class BasisStats:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Completed left basis: monic elements sorted by ascending LM.
-
-    When cofactor tracking is on, ``cofactors[i][j]`` left-multiplies
-    ``generators[j]`` so that elements[i] = sum_j cofactors[i][j]*generators[j].
-    """
+    """Completed left basis: monic elements sorted by ascending LM."""
 
     elements: tuple[Polynomial, ...]
     stats: BasisStats = field(default_factory=BasisStats)
-    cofactors: Optional[tuple[tuple[Polynomial, ...], ...]] = None
-    generators: Optional[tuple[Polynomial, ...]] = None
 
     @property
     def ngens(self) -> int:
@@ -120,62 +114,10 @@ def _lift(g: Polynomial, delta: Monomial, sys: CommutationSystem) -> Polynomial:
     return g if delta.is_unit() else sys.mono_mul_poly(delta, g)
 
 
-def _scale_vec(c, vec):
-    return tuple(scalar_mul(c, p) for p in vec)
-
-
-def _sub_vec(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_mul_vec(sys, delta, vec):
-    if delta.is_unit():
-        return tuple(vec)
-    return tuple(sys.mono_mul_poly(delta, p) for p in vec)
-
-
-def _poly_mul_vec(sys, q, vec):
-    return tuple(sys.poly_mul(q, p) for p in vec)
-
-
-class _Tracked:
-    """Basis under construction: elements plus optional cofactor rows."""
-
-    def __init__(self, sys, track: bool, width: int):
-        self.sys = sys
-        self.track = track
-        self.width = width
-        self.elems: list[Polynomial] = []
-        self.cofs: list[tuple[Polynomial, ...]] = []
-        # division scans by (LM ascending, insertion order)
-        self._view: list[tuple[tuple[int, ...], int]] = []
-
-    def append(self, p: Polynomial, cof) -> None:
-        bisect.insort(self._view, (p.lm().sort_key(), len(self.elems)))
-        self.elems.append(p)
-        if self.track:
-            self.cofs.append(cof)
-
-    def view(self) -> tuple[list[Polynomial], list[int]]:
-        idx = [t for _, t in self._view]
-        return [self.elems[t] for t in idx], idx
-
-    def reduce(self, p: Polynomial, cof):
-        """Fully left-reduce p by the current basis, tracking cofactors."""
-        divisors, idx = self.view()
-        quotients, r = left_divide(p, divisors, self.sys)
-        if self.track:
-            for q, t in zip(quotients, idx):
-                if not q.is_zero():
-                    cof = _sub_vec(cof, _poly_mul_vec(self.sys, q, self.cofs[t]))
-        return r, cof
-
-
 def buchberger(
     gens: Sequence[Polynomial],
     sys: CommutationSystem,
     max_pairs: int = DEFAULT_MAX_PAIRS,
-    track_cofactors: bool = False,
 ) -> GroebnerBasis:
     """Complete a generating set of a left ideal to a reduced basis.
 
@@ -188,33 +130,22 @@ def buchberger(
     inputs = [g for g in gens if not g.is_zero()]
     if not inputs:
         raise EmptyBasis("no nonzero generators")
-    width = len(inputs)
 
-    basis = _Tracked(sys, track_cofactors, width)
-    seen: set[Polynomial] = set()
-
-    def unit_cof(j: int, c) -> tuple[Polynomial, ...]:
-        row = [Polynomial.zero(sys.ngens)] * width
-        row[j] = scalar_mul(c, Polynomial.one(sys.ngens))
-        return tuple(row)
-
-    for j, g in enumerate(inputs):
-        m = g.monic()
-        if m in seen:
-            continue
-        seen.add(m)
-        basis.append(m, unit_cof(j, g.lc().inv()) if track_cofactors else None)
+    # monic inputs, first occurrence kept; division scans the basis by
+    # (LM ascending, insertion order)
+    elems = list(dict.fromkeys(g.monic() for g in inputs))
+    view = sorted((g.lm().sort_key(), t) for t, g in enumerate(elems))
 
     heap: list[tuple[tuple[int, ...], int, int]] = []
     pending: set[tuple[int, int]] = set()
 
     def add_pairs(j: int) -> None:
         for i in range(j):
-            lcm = mono_lcm(basis.elems[i].lm(), basis.elems[j].lm())
+            lcm = mono_lcm(elems[i].lm(), elems[j].lm())
             heapq.heappush(heap, (lcm.sort_key(), i, j))
             pending.add((i, j))
 
-    for j in range(len(basis.elems)):
+    for j in range(len(elems)):
         add_pairs(j)
 
     pairs = 0
@@ -223,43 +154,29 @@ def buchberger(
     while heap:
         _, i, j = heapq.heappop(heap)
         pending.remove((i, j))
-        if _chain_redundant(i, j, basis.elems, pending):
+        if _chain_redundant(i, j, elems, pending):
             skips += 1
             continue
         pairs += 1
         if pairs > max_pairs:
-            elems, cofs = _interreduce_raw(basis.elems, basis.cofs, sys, track_cofactors)
             partial = GroebnerBasis(
-                tuple(elems),
-                BasisStats(pairs - 1, drops, skips),
-                tuple(cofs) if track_cofactors else None,
-                tuple(inputs) if track_cofactors else None,
+                tuple(_interreduce(elems, sys)), BasisStats(pairs - 1, drops, skips)
             )
             raise PairLimitExceeded(
                 f"pair budget {max_pairs} exhausted", partial=partial
             )
-        s = left_spoly(basis.elems[i], basis.elems[j], sys)
-        scof = None
-        if track_cofactors:
-            scof = _spoly_cofactor(basis, i, j)
+        s = left_spoly(elems[i], elems[j], sys)
         if not s.is_zero():
-            s, scof = basis.reduce(s, scof)
+            _, s = left_divide(s, [elems[t] for _, t in view], sys)
         if s.is_zero():
             drops += 1
             continue
-        lc = s.lc()
-        s = s.monic()
-        if track_cofactors:
-            scof = _scale_vec(lc.inv(), scof)
-        basis.append(s, scof)
-        add_pairs(len(basis.elems) - 1)
+        bisect.insort(view, (s.lm().sort_key(), len(elems)))
+        elems.append(s.monic())
+        add_pairs(len(elems) - 1)
 
-    elems, cofs = _interreduce_raw(basis.elems, basis.cofs, sys, track_cofactors)
     result = GroebnerBasis(
-        tuple(elems),
-        BasisStats(pairs, drops, skips),
-        tuple(cofs) if track_cofactors else None,
-        tuple(inputs) if track_cofactors else None,
+        tuple(_interreduce(elems, sys)), BasisStats(pairs, drops, skips)
     )
     for g in inputs:
         _, r = left_divide(g, result.elements, sys)
@@ -301,70 +218,43 @@ def _chain_redundant(
     return False
 
 
-def _spoly_cofactor(basis: _Tracked, i: int, j: int):
-    g1, g2 = basis.elems[i], basis.elems[j]
-    gamma = mono_lcm(g1.lm(), g2.lm())
-    sys = basis.sys
-    h1 = _lift(g1, mono_sub(gamma, g1.lm()), sys)
-    h2 = _lift(g2, mono_sub(gamma, g2.lm()), sys)
-    v1 = _mono_mul_vec(sys, mono_sub(gamma, g1.lm()), basis.cofs[i])
-    v2 = _mono_mul_vec(sys, mono_sub(gamma, g2.lm()), basis.cofs[j])
-    return _sub_vec(_scale_vec(h1.lc().inv(), v1), _scale_vec(h2.lc().inv(), v2))
+def _interreduce(
+    elems: Sequence[Polynomial], sys: CommutationSystem
+) -> list[Polynomial]:
+    """Mutual full reduction: monic, sorted by ascending LM, no term
+    divisible by another element's LM, generating the same ideal.
 
-
-def _interreduce_raw(elems, cofs, sys, track):
-    """Mutual full reduction to the unique reduced basis (fixpoint loop)."""
-    items = []
-    for t, p in enumerate(elems):
-        cof = cofs[t] if track else None
-        if not p.lc().is_one():
-            if track:
-                cof = _scale_vec(p.lc().inv(), cof)
-            p = p.monic()
-        items.append((p, cof))
+    A fixpoint loop: after each change it restarts from a fresh sort and
+    reduces each element by all the others.  The result is the unique
+    reduced basis only when the input is a Groebner basis; a budgeted
+    partial basis comes out interreduced too, but its form depends on the
+    order of the loop.
+    """
+    items = [p.monic() for p in elems]
     changed = True
     while changed:
         changed = False
-        items.sort(key=lambda it: it[0].lm().sort_key())
-        for t in range(len(items)):
-            p, cof = items[t]
-            others = [it[0] for u, it in enumerate(items) if u != t]
+        items.sort(key=lambda p: p.lm().sort_key())
+        for t, p in enumerate(items):
+            others = items[:t] + items[t + 1 :]
             if not others:
                 break
-            quotients, r = left_divide(p, others, sys)
+            _, r = left_divide(p, others, sys)
             if r == p:
                 continue
             changed = True
-            if track:
-                other_cofs = [it[1] for u, it in enumerate(items) if u != t]
-                for q, oc in zip(quotients, other_cofs):
-                    if not q.is_zero():
-                        cof = _sub_vec(cof, _poly_mul_vec(sys, q, oc))
             if r.is_zero():
                 del items[t]
-                break
-            lc = r.lc()
-            if track:
-                cof = _scale_vec(lc.inv(), cof)
-            items[t] = (r.monic(), cof)
+            else:
+                items[t] = r.monic()
             break
-    items.sort(key=lambda it: it[0].lm().sort_key())
-    return [it[0] for it in items], [it[1] for it in items]
+    items.sort(key=lambda p: p.lm().sort_key())
+    return items
 
 
 def interreduce(G: GroebnerBasis, sys: CommutationSystem) -> GroebnerBasis:
-    """Reduced form: monic, no term divisible by another element's LM.
-
-    The result is unique and generates the same ideal.
-    """
-    track = G.cofactors is not None
-    elems, cofs = _interreduce_raw(list(G.elements), list(G.cofactors or ()), sys, track)
-    return GroebnerBasis(
-        tuple(elems),
-        G.stats,
-        tuple(cofs) if track else None,
-        G.generators,
-    )
+    """Reduced form of G (see ``_interreduce``), keeping its stats."""
+    return GroebnerBasis(tuple(_interreduce(G.elements, sys)), G.stats)
 
 
 def ideal_member(f: Polynomial, G: GroebnerBasis, sys: CommutationSystem) -> bool:

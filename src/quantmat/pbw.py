@@ -10,7 +10,7 @@ independent word-form comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
 from .qfield import QRat
@@ -229,19 +229,6 @@ class Polynomial:
         if not self.terms:
             return "Polynomial(0)"
         return f"Polynomial({len(self.terms)} terms, lm={self.lm().exps})"
-
-
-def poly_canonicalize(raw: Iterable[Term], ngens: int) -> Polynomial:
-    """Merge equal monomials, drop zeros, sort strictly descending."""
-    acc: dict[Monomial, QRat] = {}
-    for coeff, mono in raw:
-        if len(mono.exps) != ngens:
-            raise DimensionMismatch(
-                f"term over {len(mono.exps)} generators in a {ngens}-generator polynomial"
-            )
-        prev = acc.get(mono)
-        acc[mono] = coeff if prev is None else prev + coeff
-    return poly_from_dict(acc, ngens)
 
 
 def poly_from_dict(acc: dict[Monomial, QRat], ngens: int) -> Polynomial:

@@ -165,9 +165,6 @@ class CommutationSystem:
                 acc[m2] = cc if prev is None else prev + cc
         return poly_from_dict(acc, self.ngens)
 
-    def commutator(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.poly_mul(f, g) - self.poly_mul(g, f)
-
     def cache_info(self):
         return self._gen_mul_mono.cache_info()
 

@@ -24,8 +24,29 @@ from quantmat import (
     build_mq,
 )
 from quantmat.errors import DimensionMismatch
-from quantmat.pbw import EQUAL, GREATER, LESS, Term, poly_canonicalize
+from quantmat.pbw import EQUAL, GREATER, LESS, Term, poly_from_dict
 from quantmat.qfield import ONE
+
+
+# -- canonical form of raw terms, and the commutator ---------------------
+
+
+def poly_canonicalize(raw, ngens: int) -> Polynomial:
+    """Merge equal monomials, drop zeros, sort strictly descending."""
+    acc: dict[Monomial, QRat] = {}
+    for coeff, mono in raw:
+        if len(mono.exps) != ngens:
+            raise DimensionMismatch(
+                f"term over {len(mono.exps)} generators in a {ngens}-generator polynomial"
+            )
+        prev = acc.get(mono)
+        acc[mono] = coeff if prev is None else prev + coeff
+    return poly_from_dict(acc, ngens)
+
+
+def commutator(sys, f: Polynomial, g: Polynomial) -> Polynomial:
+    """[f, g] = f*g - g*f in the system's normal form."""
+    return sys.poly_mul(f, g) - sys.poly_mul(g, f)
 
 
 # -- ordering oracle: comparison of the written words --------------------
@@ -172,7 +193,9 @@ def is_left_groebner(G, gens, sys) -> bool:
     Buchberger's test with no pair discarded: the S-polynomial of every
     pair of G, and every generator, reduces to zero by G.  Products are
     formed by word rewriting (naive_poly_mul), not by the engine.  That
-    G lies in the ideal of gens is not checked here.
+    G lies in the ideal of gens is not checked here; see
+    test_groebner.test_basis_lies_in_input_ideal, which checks it with
+    membership_oracle.
     """
     elems = list(G)
     if not elems or any(g.is_zero() for g in elems):

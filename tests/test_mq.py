@@ -9,9 +9,11 @@ import pytest
 from quantmat.errors import InvalidSpec
 from quantmat.fixtures import quantum_determinant
 from quantmat.mq import MqSpec, build_mq, classify_pair
-from quantmat.pbw import Monomial, Polynomial, Term, gen_row_col, poly_canonicalize
+from quantmat.pbw import Monomial, Polynomial, Term, gen_row_col
 from quantmat.qfield import ONE, Q, QMode, QRat
 from quantmat.straighten import validate_ordering, validate_solvability
+
+from oracles import commutator, poly_canonicalize
 
 
 def _pattern_counts(n):
@@ -107,7 +109,7 @@ def test_quantum_determinant_2_is_central(sys2):
     det = quantum_determinant(MqSpec(2), sys2)
     for g in range(4):
         zg = sys2.gen_poly(g)
-        assert sys2.commutator(det, zg).is_zero()
+        assert commutator(sys2, det, zg).is_zero()
 
 
 def test_quantum_determinant_3_is_central(sys3):
@@ -115,7 +117,7 @@ def test_quantum_determinant_3_is_central(sys3):
     assert len(det.terms) == 6
     for g in range(9):
         zg = sys3.gen_poly(g)
-        assert sys3.commutator(det, zg).is_zero()
+        assert commutator(sys3, det, zg).is_zero()
 
 
 def test_determinant_specializes():

@@ -17,12 +17,11 @@ from quantmat.pbw import (
     mono_sub,
     mono_sum,
     poly_add,
-    poly_canonicalize,
     poly_from_dict,
 )
 from quantmat.qfield import ONE, Q, QRat, ZERO
 
-from oracles import compare_word_lex, rand_monomial, rand_poly
+from oracles import compare_word_lex, poly_canonicalize, rand_monomial, rand_poly
 
 
 def test_gen_index_linearization():
