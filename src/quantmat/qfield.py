@@ -1,22 +1,36 @@
 """Exact arithmetic in Q(q), rational functions in the quantum parameter.
 
-A polynomial in q is a tuple of rational coefficients, index k holding the
+A polynomial in q is a tuple of coefficients, index k holding the
 coefficient of q^k; the trailing entry is nonzero and () is the zero
-polynomial.  Coefficients are int where possible and Fraction otherwise
-(they compare and hash equal for equal values).  A QRat is a reduced
-fraction num/den of two such tuples with monic denominator.
+polynomial.
+
+A QRat is stored fraction-free: a pair n/d of integer polynomials with
+gcd(n, d) = 1 in Z[q], contents included, and a positive leading
+coefficient of d.  The units of Z[q] are +-1, so this form is unique:
+equality and hashing compare (n, d) directly, and arithmetic stays in the
+integers.  Results are reduced with `pgcd`, the gcd in Z[q] by the
+primitive polynomial remainder sequence (Collins 1967; Brown 1971).  A
+product cancels crosswise before it multiplies (Henrici 1956), so it never
+takes the gcd of the full product.
+
+`QRat.num` and `QRat.den` are a read-only view of the same value over the
+rationals: coefficients are int where integral and Fraction otherwise
+(they compare and hash equal for equal values), and den is monic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import DivisionByZero, EvaluationPole, InvalidSpec
 
 Coef = Union[int, Fraction]
-QPoly = tuple  # tuple[Coef, ...], lowest degree first, trailing entry nonzero
+# tuple[Coef, ...], lowest degree first, trailing entry nonzero; the
+# coefficients a QRat stores are int
+QPoly = tuple
 
 P_ZERO: QPoly = ()
 P_ONE: QPoly = (1,)
@@ -41,7 +55,7 @@ def padd(a: QPoly, b: QPoly) -> QPoly:
 
 
 def pneg(a: QPoly) -> QPoly:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def pmul(a: QPoly, b: QPoly) -> QPoly:
@@ -49,10 +63,10 @@ def pmul(a: QPoly, b: QPoly) -> QPoly:
         return P_ZERO
     if len(a) == 1:
         c = a[0]
-        return tuple(c * x for x in b)
+        return tuple([c * x for x in b])
     if len(b) == 1:
         c = b[0]
-        return tuple(c * x for x in a)
+        return tuple([c * x for x in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -61,48 +75,86 @@ def pmul(a: QPoly, b: QPoly) -> QPoly:
     return pstrip(out)
 
 
-def pdivmod(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
-    """Quotient and remainder of a by b over the rationals."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    if len(a) < len(b):
-        return P_ZERO, a
+# -- integer polynomials: exact quotient, remainder, gcd --------------------
+
+
+def _scale_down(a: QPoly, c: int) -> QPoly:
+    return tuple([x // c for x in a])
+
+
+def _exact_quo(a: QPoly, b: QPoly) -> QPoly:
+    """a / b in Z[q], where b divides a."""
+    if _is_q_power(b):
+        return _scale_down(a[len(b) - 1 :], b[-1])
     rem = list(a)
-    lead = Fraction(b[-1]) if not isinstance(b[-1], Fraction) else b[-1]
-    quo = [0] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
+    lead = b[-1]
+    deg = len(b) - 1
+    quo = [0] * (len(a) - deg)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + deg]
         if c:
-            c = c / lead
+            c //= lead
             quo[k] = c
-            for j, cb in enumerate(b):
-                rem[k + j] -= c * cb
-    return pstrip(quo), pstrip(rem)
+            for j in range(deg):
+                rem[k + j] -= c * b[j]
+    return tuple(quo)
 
 
-def pmonic(a: QPoly) -> QPoly:
-    """Scale so the leading coefficient is 1."""
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(Fraction(c) / lead for c in a[:-1]) + (1,)
+def _prem(a: QPoly, b: QPoly) -> QPoly:
+    """lead(b)^e * a mod b for some e >= 0, for len(a) >= len(b) >= 2.
+
+    A step scales the remainder by lead(b) only when lead(b) does not
+    divide its top coefficient; either way the result differs from the
+    remainder of a over the rationals by an integer factor.
+    """
+    rem = list(a)
+    lead = b[-1]
+    deg = len(b) - 1
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if not c:
+            continue
+        if c % lead:
+            for i in range(top):
+                rem[i] *= lead
+        else:
+            c //= lead
+        k = top - deg
+        for j in range(deg):
+            rem[k + j] -= c * b[j]
+    return pstrip(rem[:deg])
 
 
 def pgcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd over the rationals (monic Euclid)."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-        b = pmonic(b)
-    return pmonic(a)
+    """The gcd in Z[q] of nonzero integer polynomials, leading coefficient > 0.
 
-
-def peval(a: QPoly, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * v + c
-    return acc
+    The integer gcd of the contents times the gcd of the primitive parts,
+    which the primitive polynomial remainder sequence computes: replace
+    (a, b) by (b, primitive part of the pseudo-remainder of a by b) until
+    the remainder vanishes (then b is the gcd) or is a constant (then the
+    primitive parts are coprime).
+    """
+    ca, cb = gcd(*a), gcd(*b)
+    c = gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    if ca != 1:
+        a = _scale_down(a, ca)
+    if cb != 1:
+        b = _scale_down(b, cb)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:
+            return (c,)
+        g = gcd(*r)
+        a, b = b, (_scale_down(r, g) if g != 1 else r)
+    if b[-1] < 0:
+        c = -c
+    return b if c == 1 else tuple(c * x for x in b)
 
 
 def _valuation(a: QPoly) -> int:
@@ -114,7 +166,44 @@ def _valuation(a: QPoly) -> int:
 
 
 def _is_q_power(a: QPoly) -> bool:
-    return bool(a) and all(not c for c in a[:-1])
+    # a constant times a power of q; only meaningful for a != 0
+    return not any(a[:-1])
+
+
+def _gcd(a: QPoly, b: QPoly) -> QPoly:
+    """gcd(a, b) in Z[q] for nonzero a and b, leading coefficient > 0.
+
+    The shared power of q comes off first; when either side is then a
+    constant times a power of q, the rest of the gcd is the integer gcd of
+    the contents and `pgcd` is not needed.
+    """
+    va, vb = _valuation(a), _valuation(b)
+    v = va if va < vb else vb
+    if v:
+        a, b = a[v:], b[v:]
+    if _is_q_power(a) or _is_q_power(b):
+        g = (gcd(*a, *b),)
+    else:
+        g = pgcd(a, b)
+    return (0,) * v + g if v else g
+
+
+def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
+    """a/g and b/g for g = gcd(a, b); g's lead is positive, so signs stay."""
+    g = _gcd(a, b)
+    if g == P_ONE:
+        return a, b
+    return _exact_quo(a, g), _exact_quo(b, g)
+
+
+def _horner(a: QPoly, u: int, w: int) -> int:
+    """w^(len(a) - 1) * a(u/w), an integer."""
+    acc = 0
+    wk = 1
+    for c in reversed(a):
+        acc = acc * u + c * wk
+        wk *= w
+    return acc
 
 
 @dataclass(frozen=True)
@@ -142,21 +231,30 @@ class QMode:
 SYMBOLIC = QMode(None)
 
 
+def _ratio(x: int, lead: int) -> Coef:
+    quo, rem = divmod(x, lead)
+    return Fraction(x, lead) if rem else quo
+
+
 class QRat:
-    """Canonical element of Q(q): num/den with gcd 1 and monic den."""
+    """Canonical element of Q(q), stored as coprime n/d in Z[q] with lead(d) > 0.
 
-    __slots__ = ("num", "den")
+    `QRat(num, den)` takes int or Fraction coefficient tuples and clears
+    their denominators.  `num` and `den` read the value back over the
+    rationals, with den monic.
+    """
 
-    def __init__(self, num, den=P_ONE, *, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, num, den=P_ONE):
         num = pstrip(num)
         den = pstrip(den)
         if not den:
             raise DivisionByZero("zero denominator in Q(q)")
-        self.num, self.den = _normalize(num, den)
+        scale = lcm(*(x.denominator for x in num + den))
+        num = tuple(x.numerator * (scale // x.denominator) for x in num)
+        den = tuple(x.numerator * (scale // x.denominator) for x in den)
+        self._n, self._d = _normalize(num, den)
 
     # -- constructors -------------------------------------------------
 
@@ -165,60 +263,100 @@ class QRat:
         v = Fraction(v)
         if not v:
             return ZERO
-        c = int(v) if v.denominator == 1 else v
-        return QRat((c,), P_ONE, _canonical=True)
+        return _make((v.numerator,), (v.denominator,))
 
     @staticmethod
     def q_power(k: int) -> "QRat":
         """The monomial q^k, k may be negative."""
         if k >= 0:
-            return QRat((0,) * k + (1,), P_ONE, _canonical=True)
-        return QRat(P_ONE, (0,) * (-k) + (1,), _canonical=True)
+            return _make((0,) * k + (1,), P_ONE)
+        return _make(P_ONE, (0,) * (-k) + (1,))
+
+    # -- the view over the rationals ------------------------------------
+
+    @property
+    def num(self) -> QPoly:
+        lead = self._d[-1]
+        if lead == 1:
+            return self._n
+        return tuple(_ratio(x, lead) for x in self._n)
+
+    @property
+    def den(self) -> QPoly:
+        d = self._d
+        lead = d[-1]
+        if lead == 1:
+            return d
+        return tuple(_ratio(x, lead) for x in d[:-1]) + (1,)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_one(self) -> bool:
-        return self.num == P_ONE and self.den == P_ONE
+        return self._n == P_ONE and self._d == P_ONE
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "QRat") -> "QRat":
-        if not self.num:
+        a, b = self._n, self._d
+        c, d = other._n, other._d
+        if not a:
             return other
-        if not other.num:
+        if not c:
             return self
-        if self.den == other.den:
-            return QRat(padd(self.num, other.num), self.den)
-        return QRat(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        if len(a) == len(b) == len(c) == len(d) == 1:
+            return _rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0])
+        if b == d:
+            n = padd(a, c)
+            if not n:
+                return ZERO
+            if b == P_ONE:
+                return _make(n, P_ONE)
+            return _make(*_cancel(n, b))
+        # Henrici: with g = gcd(b, d), the sum is n / (b * d/g) for
+        # n = a * d/g + c * b/g, and only g can share a factor with n
+        g = _gcd(b, d)
+        if g == P_ONE:
+            return _make(padd(pmul(a, d), pmul(c, b)), pmul(b, d))
+        bg, dg = _exact_quo(b, g), _exact_quo(d, g)
+        n = padd(pmul(a, dg), pmul(c, bg))
+        h = _gcd(n, g)
+        if h != P_ONE:
+            n, b = _exact_quo(n, h), _exact_quo(b, h)
+        return _make(n, pmul(b, dg))
 
     def __sub__(self, other: "QRat") -> "QRat":
         return self + (-other)
 
     def __neg__(self) -> "QRat":
-        return QRat(pneg(self.num), self.den, _canonical=True)
+        return _make(pneg(self._n), self._d)
 
     def __mul__(self, other: "QRat") -> "QRat":
-        if not self.num or not other.num:
+        a, b = self._n, self._d
+        c, d = other._n, other._d
+        if not a or not c:
             return ZERO
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
-        return QRat(pmul(self.num, other.num), pmul(self.den, other.den))
+        if len(a) == len(b) == len(c) == len(d) == 1:
+            return _rational(a[0] * c[0], b[0] * d[0])
+        # a/b and c/d are reduced, so only a, d and c, b can share factors
+        if d != P_ONE:
+            a, d = _cancel(a, d)
+        if b != P_ONE:
+            c, b = _cancel(c, b)
+        return _make(pmul(a, c), pmul(b, d))
 
     def __truediv__(self, other: "QRat") -> "QRat":
         return self * other.inv()
 
     def inv(self) -> "QRat":
-        if not self.num:
+        n, d = self._n, self._d
+        if not n:
             raise DivisionByZero("inversion of zero in Q(q)")
-        return QRat(self.den, self.num)
+        if n[-1] < 0:
+            return _make(pneg(d), pneg(n))
+        return _make(d, n)
 
     def __pow__(self, k: int) -> "QRat":
         if k < 0:
@@ -236,26 +374,37 @@ class QRat:
         """Evaluate at mode's rational q; identity in symbolic mode."""
         if mode.is_symbolic:
             return self
-        d = peval(self.den, mode.value)
-        if not d:
+        u, w = mode.value.numerator, mode.value.denominator
+        n, d = self._n, self._d
+        hd = _horner(d, u, w)
+        if not hd:
             raise EvaluationPole(f"denominator vanishes at q = {mode.value}")
-        return QRat.from_rational(peval(self.num, mode.value) / d)
+        if not n:
+            return ZERO
+        # n(v) / d(v) = hn / w^deg(n) * w^deg(d) / hd
+        hn = _horner(n, u, w)
+        shift = len(d) - len(n)
+        if shift > 0:
+            hn *= w**shift
+        elif shift < 0:
+            hd *= w**-shift
+        return _rational(hn, hd)
 
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, QRat):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def sign(self) -> int:
-        """Sign of the leading numerator coefficient (den is monic)."""
-        if not self.num:
+        """Sign of the leading numerator coefficient (lead(d) > 0)."""
+        if not self._n:
             return 0
-        return 1 if self.num[-1] > 0 else -1
+        return 1 if self._n[-1] > 0 else -1
 
     def __repr__(self):
         return f"QRat({self})"
@@ -266,42 +415,38 @@ class QRat:
         return format_qrat(self)
 
 
+_new = object.__new__
+
+
+def _make(n: QPoly, d: QPoly) -> QRat:
+    """A QRat from a pair already in canonical form."""
+    r = _new(QRat)
+    r._n = n
+    r._d = d
+    return r
+
+
+def _rational(n: int, d: int) -> QRat:
+    """The constant n/d, d nonzero."""
+    if not n:
+        return ZERO
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _make((n // g,), (d // g,))
+
+
 def _normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """Reduce num/den to the canonical representative. den is nonzero."""
+    """Reduce integer num/den to the canonical pair. den is nonzero."""
     if not num:
         return P_ZERO, P_ONE
-    # shared power of q
-    vn, vd = _valuation(num), _valuation(den)
-    v = vn if vn < vd else vd
-    if v:
-        num, den = num[v:], den[v:]
-    if len(den) == 1:
-        c = den[0]
-        if c != 1:
-            num = tuple(Fraction(x) / c for x in num)
-        return num, P_ONE
-    if _is_q_power(num) or _is_q_power(den):
-        # the shared q-valuation is already removed, so the gcd is trivial
-        pass
-    else:
-        g = pgcd(num, den)
-        if len(g) > 1:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
-            if len(den) == 1:
-                c = den[0]
-                if c != 1:
-                    num = tuple(Fraction(x) / c for x in num)
-                return num, P_ONE
-    lead = den[-1]
-    if lead != 1:
-        num = tuple(Fraction(x) / lead for x in num)
-        den = tuple(Fraction(x) / lead for x in den[:-1]) + (1,)
+    num, den = _cancel(num, den)
+    if den[-1] < 0:
+        return pneg(num), pneg(den)
     return num, den
 
 
-ZERO = QRat(P_ZERO, P_ONE, _canonical=True)
-ONE = QRat(P_ONE, P_ONE, _canonical=True)
-Q = QRat(P_Q, P_ONE, _canonical=True)
-Q_INV = QRat(P_ONE, P_Q, _canonical=True)
-
+ZERO = _make(P_ZERO, P_ONE)
+ONE = _make(P_ONE, P_ONE)
+Q = _make(P_Q, P_ONE)
+Q_INV = _make(P_ONE, P_Q)

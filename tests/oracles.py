@@ -5,7 +5,9 @@ word-by-word rewriting instead of memoized generator folds, dense Fraction
 linear algebra at rational q values instead of symbolic division, finite
 differences of the Hilbert function instead of subset search,
 enumeration of standard monomials instead of the Hilbert-series numerator,
-and every S-pair of a basis instead of completion's pair criteria.
+every S-pair of a basis instead of completion's pair criteria, and Q(q)
+as Fraction polynomials reduced by the monic Euclidean algorithm instead
+of coprime integer polynomials reduced by a gcd in Z[q].
 """
 
 from __future__ import annotations
@@ -23,9 +25,130 @@ from quantmat import (
     QRat,
     build_mq,
 )
-from quantmat.errors import DimensionMismatch
+from quantmat.errors import DimensionMismatch, DivisionByZero
 from quantmat.pbw import EQUAL, GREATER, LESS, Term, poly_from_dict
 from quantmat.qfield import ONE
+
+
+# -- Q(q) over the rationals: monic Euclid --------------------------------
+#
+# A rational function is a pair (num, den) of coefficient tuples, lowest
+# power first, in the form QRat.num and QRat.den show: reduced, den monic.
+
+
+def _qpadd(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _qpmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def pdivmod(a, b):
+    """Quotient and remainder of a by b over the rationals."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    if len(a) < len(b):
+        return (), a
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, cb in enumerate(b):
+            rem[k + j] -= c * cb
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quo), tuple(rem)
+
+
+def pmonic(a):
+    """Scale so the leading coefficient is 1."""
+    if not a:
+        return a
+    return tuple(Fraction(c) / a[-1] for c in a)
+
+
+def monic_gcd(a, b):
+    """Monic gcd over the rationals (monic Euclid)."""
+    while b:
+        a, b = b, pmonic(pdivmod(a, b)[1])
+    return pmonic(a)
+
+
+def rat_canonical(num, den):
+    """num/den reduced by the monic gcd, with den monic."""
+    num, den = _qpadd(num, ()), _qpadd(den, ())  # drop trailing zeros
+    if not num:
+        return (), (1,)
+    g = monic_gcd(num, den)
+    num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), pmonic(den)
+
+
+def rat_add(x, y):
+    num = _qpadd(_qpmul(x[0], y[1]), _qpmul(y[0], x[1]))
+    return rat_canonical(num, _qpmul(x[1], y[1]))
+
+
+def rat_mul(x, y):
+    return rat_canonical(_qpmul(x[0], y[0]), _qpmul(x[1], y[1]))
+
+
+def rat_inv(x):
+    if not x[0]:
+        raise DivisionByZero("inversion of zero")
+    return rat_canonical(x[1], x[0])
+
+
+def rat_eval(a, v: Fraction) -> Fraction:
+    """The polynomial a at q = v."""
+    return sum((Fraction(c) * v**k for k, c in enumerate(a)), Fraction(0))
+
+
+def _render_qpoly(p) -> tuple[str, int]:
+    pieces = []
+    for k in reversed(range(len(p))):
+        if not p[k]:
+            continue
+        a = abs(p[k])
+        power = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
+        body = str(a) if not power else (power if a == 1 else f"{a}*{power}")
+        if pieces:
+            pieces.append((" - " if p[k] < 0 else " + ") + body)
+        else:
+            pieces.append(("-" if p[k] < 0 else "") + body)
+    return "".join(pieces), len(pieces)
+
+
+def render_rat(x) -> str:
+    """The coefficient text of textio.format_qrat, from the reduced pair."""
+    num, den = x
+    if not num:
+        return "0"
+    sign = "-" if num[-1] < 0 else ""
+    num_s, num_terms = _render_qpoly(tuple(-c for c in num) if sign else num)
+    if tuple(den) == (1,):
+        return sign + num_s
+    den_s, den_terms = _render_qpoly(den)
+    if num_terms > 1:
+        num_s = f"({num_s})"
+    if den_terms > 1:
+        den_s = f"({den_s})"
+    return f"{sign}{num_s}/{den_s}"
 
 
 # -- canonical form of raw terms, and the commutator ---------------------
@@ -308,6 +431,8 @@ def membership_oracle(n, gens, f: Polynomial, max_degree: int, qvalues) -> bool:
     for v in qvalues:
         span, index = _cached_span(n, tuple(gens), v, max_degree)
         fv = specialize_terms(f, v, ngens)
+        if any(m not in index for _, m in fv.terms):
+            return False  # a term of f lies above max_degree
         if not span.contains(_vector(fv, index)):
             return False
     return True

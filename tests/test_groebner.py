@@ -227,6 +227,39 @@ def test_chain_criterion_on_quantum_minors(sys3):
     assert exc.value.partial.stats.pairs_considered == 16
 
 
+def _weyl_swell_generators():
+    # x is generator 0 and d generator 1; a monomial is (x exponent, d exponent)
+    def poly(*terms):
+        return poly_canonicalize([(c, Monomial(e)) for c, e in terms], 2)
+
+    qp, rat = QRat.q_power, QRat.from_rational
+    return [
+        poly((qp(-2), (1, 3))),
+        poly((-qp(-2), (0, 3)), (rat(3), (0, 1)), (rat(2), (2, 0))),
+        poly((qp(2), (2, 2)), (rat(2) * Q, (1, 0))),
+    ]
+
+
+def test_weyl_completion_through_coefficient_swell():
+    # the divisions build Q(q) coefficients of q-degree in the dozens; the
+    # monic Euclidean gcd over the rationals stalled here for over 30 s
+    W = weyl_algebra()
+    gens = _weyl_swell_generators()
+    assert [format_poly(g, W.gen_names) for g in gens] == [
+        "1/q^2*d^3*x",
+        "-1/q^2*d^3 + 3*d + 2*x^2",
+        "q^2*d^2*x^2 + 2*q*x",
+    ]
+    # the relation d*x = x*d - 1 has no q, so q = 2 takes the same steps
+    at_2 = [specialize_terms(g, Fraction(2), 2) for g in gens]
+    for inputs in (gens, at_2):
+        G = buchberger(inputs, W)
+        assert G.elements == (Polynomial.one(2),)
+        assert G.stats == BasisStats(
+            pairs_considered=23, reductions_to_zero=8, chain_skips=130
+        )
+
+
 def test_reduced_basis_canonical_under_shuffle(sys2):
     rng = random.Random(32)
     gens = [rand_poly(rng, 4, max_degree=2, max_terms=2) for _ in range(3)]
@@ -280,6 +313,16 @@ def test_membership_matches_linear_oracle(sys2):
             assert membership_oracle(2, list(G.elements), f, max(deg, f.degree()), QVALUES)
         else:
             assert not membership_oracle(2, gens, f, f.degree() + 2, QVALUES)
+
+
+def test_membership_oracle_rejects_terms_above_the_bound(sys2):
+    # no left multiple of degree <= max_degree has a term of higher degree
+    gens = [parse_poly("z[2,2]*z[1,1] - z[1,1]", sys2)]
+    f = sys2.poly_mul(_gp(sys2, 1), gens[0])
+    assert f.degree() == 3
+    assert not membership_oracle(2, gens, gens[0], 0, QVALUES)
+    assert not membership_oracle(2, gens, f, 2, QVALUES)
+    assert membership_oracle(2, gens, f, 3, QVALUES)
 
 
 def test_basis_lies_in_input_ideal(sys2):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantmat.errors import DivisionByZero, EvaluationPole, InvalidSpec
 from quantmat.qfield import (
@@ -18,6 +19,20 @@ from quantmat.qfield import (
     pgcd,
     pmul,
     pstrip,
+)
+
+from quantmat.textio import format_qrat
+
+from oracles import (
+    monic_gcd,
+    pdivmod,
+    pmonic,
+    rat_add,
+    rat_canonical,
+    rat_eval,
+    rat_inv,
+    rat_mul,
+    render_rat,
 )
 
 
@@ -148,7 +163,14 @@ def test_canonical_equality_and_hash():
         assert hash(a) == hash(b)
 
 
+def _divides_in_zq(g, a) -> bool:
+    quo, rem = pdivmod(a, g)
+    return not rem and all(c.denominator == 1 for c in quo)
+
+
 def test_gcd_is_monic_and_divides():
+    # pgcd is the gcd in Z[q] (content included, leading coefficient > 0);
+    # its monic form is the gcd over the rationals
     rng = random.Random(2)
     for _ in range(100):
         a = pstrip(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))))
@@ -156,11 +178,19 @@ def test_gcd_is_monic_and_divides():
         if not a or not b:
             continue
         g = pgcd(a, b)
-        assert g[-1] == 1  # monic
-        # common factors survive: gcd(ac, bc) is divisible by the monic c
-        c = (1, 1)
-        gg = pgcd(pmul(a, c), pmul(b, c))
-        assert QRat(gg, pmul(g, c)).den == P_ONE  # (g*c) | gg
+        assert g[-1] > 0
+        assert _divides_in_zq(g, a) and _divides_in_zq(g, b)
+        assert pmonic(g) == monic_gcd(a, b)
+        # common factors survive: gcd(ac, bc) = gcd(a, b) * c for primitive c
+        c = (rng.choice((-1, 1)), rng.randint(-3, 3), 1)
+        assert pgcd(pmul(a, c), pmul(b, c)) == pmul(g, c)
+
+
+def test_gcd_takes_the_integer_content():
+    assert pgcd((6,), (0, 4)) == (2,)
+    assert pgcd((-4, 0, 4), (6, 6)) == (2, 2)  # gcd(4q^2 - 4, 6q + 6)
+    assert pgcd((2, 2), (-3, 3)) == (1,)  # 2(q + 1) and 3(q - 1)
+    assert pgcd((0, -2), (0, 0, -4)) == (0, 2)
 
 
 def test_arithmetic_results_stay_reduced():
@@ -172,7 +202,7 @@ def test_arithmetic_results_stay_reduced():
             if c.is_zero():
                 assert c.num == () and c.den == P_ONE
                 continue
-            assert pgcd(c.num, c.den) == P_ONE
+            assert monic_gcd(c.num, c.den) == P_ONE
             assert c.den[-1] == 1
 
 
@@ -188,3 +218,74 @@ def test_specialize_string_rational():
     c = (Q * Q - ONE) / Q
     v = c.specialize(QMode.numeric(Fraction(1, 2)))
     assert v == QRat((Fraction(-3, 2),))
+
+
+# -- differential test against the monic-Euclid reference ----------------
+
+_COEF = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(2, 4)),
+)
+_POLY = st.lists(_COEF, max_size=4).map(tuple)
+# a last coefficient drawn as zero becomes 1, so the polynomial is nonzero
+_NONZERO = st.lists(_COEF, min_size=1, max_size=4).map(
+    lambda cs: (*cs[:-1], cs[-1] or 1)
+)
+_RAW = st.tuples(_POLY, _NONZERO)
+_POINTS = (Fraction(2), Fraction(-1, 2), Fraction(1), Fraction(3))
+
+
+def _from_raw(raw):
+    return QRat(*raw), rat_canonical(*raw)
+
+
+def _check_against_reference(x, ref):
+    assert (x.num, x.den) == ref
+    # the view keeps integral coefficients as int
+    assert all(type(c) is int or c.denominator > 1 for c in x.num + x.den)
+    assert format_qrat(x) == render_rat(ref)
+    assert QRat(*ref) == x and hash(QRat(*ref)) == hash(x)
+    for v in _POINTS:
+        d = rat_eval(ref[1], v)
+        if not d:
+            with pytest.raises(EvaluationPole):
+                x.specialize(QMode.numeric(v))
+            continue
+        val = rat_eval(ref[0], v) / d
+        s = x.specialize(QMode.numeric(v))
+        assert s.num == ((val,) if val else ()) and s.den == P_ONE
+
+
+_OPS = ("+", "-", "*", "/", "inv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=_RAW,
+    steps=st.lists(st.tuples(st.sampled_from(_OPS), _RAW), max_size=4),
+    scale=_NONZERO,
+)
+def test_qrat_matches_euclid_reference(start, steps, scale):
+    x, ref = _from_raw(start)
+    _check_against_reference(x, ref)
+    for op, raw in steps:
+        y, yref = _from_raw(raw)
+        _check_against_reference(y, yref)
+        # equality is equality of the reduced forms, and equal values hash equal
+        assert (x == y) == (ref == yref)
+        if x == y:
+            assert hash(x) == hash(y)
+        if op == "+":
+            x, ref = x + y, rat_add(ref, yref)
+        elif op == "-":
+            x, ref = x - y, rat_add(ref, rat_mul(((-1,), (1,)), yref))
+        elif op == "*":
+            x, ref = x * y, rat_mul(ref, yref)
+        elif op == "/" and not y.is_zero():
+            x, ref = x / y, rat_mul(ref, rat_inv(yref))
+        elif op == "inv" and not x.is_zero():
+            x, ref = x.inv(), rat_inv(ref)
+        _check_against_reference(x, ref)
+    # a representative scaled by any nonzero polynomial is the same element
+    same = QRat(pmul(x.num, scale), pmul(x.den, scale))
+    assert same == x and hash(same) == hash(x)
