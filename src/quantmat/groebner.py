@@ -84,10 +84,7 @@ def left_divide(
         for k, lm in enumerate(lms):
             if mono_divides(lm, m):
                 delta = mono_sub(m, lm)
-                if delta.is_unit():
-                    h = G[k]
-                else:
-                    h = sys.mono_mul_poly(delta, G[k])
+                h = _lift(G[k], delta, sys)
                 coef = c / h.lc()
                 p = p - scalar_mul(coef, h)
                 # deltas decrease strictly with m, so the list stays sorted
@@ -111,7 +108,7 @@ def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polyno
 
 
 def _lift(g: Polynomial, delta: Monomial, sys: CommutationSystem) -> Polynomial:
-    return g if delta.is_unit() else sys.mono_mul_poly(delta, g)
+    return g if delta.is_unit() else sys.mono_mul(delta, g)
 
 
 def buchberger(
@@ -127,6 +124,8 @@ def buchberger(
     ``stats.pairs_considered``.  Raises PairLimitExceeded with the
     interreduced partial basis attached when one more would be formed.
     """
+    if max_pairs < 0:
+        raise InvalidSpec(f"pair budget must be >= 0, got {max_pairs}")
     inputs = [g for g in gens if not g.is_zero()]
     if not inputs:
         raise EmptyBasis("no nonzero generators")

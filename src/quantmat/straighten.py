@@ -6,6 +6,11 @@ the ascending product z_small * z_big as lam * (z_big z_small) + f.  The
 engine is generic: the quantized matrix algebra is one instance; the
 quantum plane and the first Weyl algebra ship as controls for the
 validators.
+
+Every product goes through one algorithm, ``CommutationSystem.mono_mul(u, g)``:
+the left multiple of a polynomial g by a monomial u, found by folding u's
+letters over all of g, lowest letter first, and merging after each letter.
+Each letter times a basis word comes from a memoized table lookup.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .pbw import (
     Polynomial,
     Term,
     compare_monomials,
+    mono_sub,
     mono_sum,
     poly_from_dict,
 )
@@ -52,6 +58,8 @@ class CommutationSystem:
     ):
         if ngens < 1:
             raise InvalidSpec("need at least one generator")
+        if max_degree < 0:
+            raise InvalidSpec(f"degree guard must be >= 0, got {max_degree}")
         self.ngens = ngens
         self.table = dict(table)
         self.qmode = qmode
@@ -85,6 +93,13 @@ class CommutationSystem:
     def gen_poly(self, g: int) -> Polynomial:
         return Polynomial.from_mono(self.gen_mono(g))
 
+    def check_degree(self, degree: int) -> None:
+        """The degree guard: raise if a product of this degree is too large."""
+        if degree > self.max_degree:
+            raise DegreeGuardExceeded(
+                f"product degree {degree} exceeds guard {self.max_degree}"
+            )
+
     def _gen_mul_mono_impl(self, g: int, mono: Monomial) -> Polynomial:
         """Normal form of z_g * mono, mono a basis word."""
         h = mono.top()
@@ -94,50 +109,38 @@ class CommutationSystem:
             exps[g] += 1
             return Polynomial.from_mono(Monomial(exps))
         lam, f = self.table[(h, g)]
-        rest = list(mono.exps)
-        rest[h] -= 1
-        rest = Monomial(rest)
-        sub = self._gen_mul_mono(g, rest)
+        z_h = self.gen_mono(h)
+        rest = mono_sub(mono, z_h)
         # z_g z_h = lam z_h z_g + f, so z_g*(z_h*rest) = lam z_h*(z_g*rest) + f*rest.
-        # Every monomial of sub and of f has top letter <= h, so z_h prepends freely.
-        acc: dict[Monomial, QRat] = {}
-        for c, m in sub.terms:
-            exps = list(m.exps)
-            exps[h] += 1
-            acc[Monomial(exps)] = lam * c
-        for c, mf in f.terms:
-            for c2, m2 in self.mono_mul(mf, rest).terms:
-                prev = acc.get(m2)
-                cc = c * c2
-                acc[m2] = cc if prev is None else prev + cc
-        return poly_from_dict(acc, self.ngens)
+        # Every monomial of z_g*rest has top letter <= h, so z_h prepends freely
+        # and the lifted head stays sorted.
+        sub = self._gen_mul_mono(g, rest)
+        head = tuple(Term(c, mono_sum(z_h, m)) for c, m in sub.terms)
+        tail = self.poly_mul(f, Polynomial.from_mono(rest))
+        return scalar_mul(lam, Polynomial(head, self.ngens)) + tail
 
-    def mono_mul(self, u: Monomial, v: Monomial) -> Polynomial:
-        """Canonical normal form of the product u*v."""
-        if u.ngens != self.ngens or v.ngens != self.ngens:
+    def mono_mul(self, u: Monomial, g: Polynomial) -> Polynomial:
+        """Normal form of the left multiple u*g.
+
+        The one product algorithm: division and S-polynomials lift by it,
+        and ``poly_mul`` sums it over the terms of its left factor.
+        """
+        if u.ngens != self.ngens or g.ngens != self.ngens:
             raise DimensionMismatch(
-                f"monomials over {u.ngens}/{v.ngens} generators in a "
+                f"operands over {u.ngens}/{g.ngens} generators in a "
                 f"{self.ngens}-generator system"
             )
-        if u.degree + v.degree > self.max_degree:
-            raise DegreeGuardExceeded(
-                f"product degree {u.degree + v.degree} exceeds guard {self.max_degree}"
-            )
-        result = Polynomial.from_mono(v)
-        # fold u's letters lowest-first: u*v = g_1(g_2(...(g_r * v)))
-        for g, e in enumerate(u.exps):
+        if g.is_zero():
+            return g
+        self.check_degree(u.degree + g.degree())
+        # fold u's letters over all of g, lowest first: u*g = z_1(z_2(...(z_r*g)))
+        for letter, e in enumerate(u.exps):
             for _ in range(e):
-                result = self._gen_mul_poly(g, result)
-        return result
-
-    def _gen_mul_poly(self, g: int, p: Polynomial) -> Polynomial:
-        acc: dict[Monomial, QRat] = {}
-        for c, m in p.terms:
-            for c2, m2 in self._gen_mul_mono(g, m).terms:
-                prev = acc.get(m2)
-                cc = c * c2
-                acc[m2] = cc if prev is None else prev + cc
-        return poly_from_dict(acc, self.ngens)
+                acc: dict[Monomial, QRat] = {}
+                for c, m in g.terms:
+                    _add_scaled(acc, c, self._gen_mul_mono(letter, m))
+                g = poly_from_dict(acc, self.ngens)
+        return g
 
     def poly_mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.ngens != self.ngens or g.ngens != self.ngens:
@@ -146,23 +149,8 @@ class CommutationSystem:
                 f"{self.ngens}-generator system"
             )
         acc: dict[Monomial, QRat] = {}
-        for cf, mf in f.terms:
-            for cg, mg in g.terms:
-                c = cf * cg
-                for c2, m2 in self.mono_mul(mf, mg).terms:
-                    prev = acc.get(m2)
-                    cc = c * c2
-                    acc[m2] = cc if prev is None else prev + cc
-        return poly_from_dict(acc, self.ngens)
-
-    def mono_mul_poly(self, u: Monomial, g: Polynomial) -> Polynomial:
-        """Left multiple u*g, the lifting step of division and S-polynomials."""
-        acc: dict[Monomial, QRat] = {}
-        for cg, mg in g.terms:
-            for c2, m2 in self.mono_mul(u, mg).terms:
-                prev = acc.get(m2)
-                cc = cg * c2
-                acc[m2] = cc if prev is None else prev + cc
+        for c, m in f.terms:
+            _add_scaled(acc, c, self.mono_mul(m, g))
         return poly_from_dict(acc, self.ngens)
 
     def cache_info(self):
@@ -171,6 +159,14 @@ class CommutationSystem:
     def __repr__(self):
         label = self.name or f"{self.ngens} generators"
         return f"CommutationSystem({label}, q={self.qmode})"
+
+
+def _add_scaled(acc: dict[Monomial, QRat], c: QRat, p: Polynomial) -> None:
+    """acc += c*p, on an unsorted accumulator that poly_from_dict finishes."""
+    for cp, m in p.terms:
+        prev = acc.get(m)
+        cc = c * cp
+        acc[m] = cc if prev is None else prev + cc
 
 
 def scalar_mul(c: QRat, f: Polynomial) -> Polynomial:
@@ -304,7 +300,7 @@ def validate_ordering(
     bad_pair = None
     for h in range(sys.ngens):
         for g in range(h):
-            p = sys.mono_mul(sys.gen_mono(g), sys.gen_mono(h))
+            p = sys.mono_mul(sys.gen_mono(g), sys.gen_poly(h))
             expected = mono_sum(sys.gen_mono(g), sys.gen_mono(h))
             if p.is_zero() or _lm_under(p, compare) != expected:
                 bad_pair = (g, h)
@@ -328,13 +324,14 @@ def validate_ordering(
         al = _random_monomial(rng, sys.ngens, sample_degree)
         be = _random_monomial(rng, sys.ngens, sample_degree)
         et = _random_monomial(rng, sys.ngens, sample_degree)
+        et_poly = Polynomial.from_mono(et)
 
         if unit_fail is None and not ga.is_unit():
             if compare(unit, ga) != LESS:
                 unit_fail = ga
 
         # condition (2): gamma = LM(alpha*beta*eta) dominates the inner factor
-        prod = sys.poly_mul(sys.mono_mul(al, be), Polynomial.from_mono(et))
+        prod = sys.poly_mul(sys.mono_mul(al, Polynomial.from_mono(be)), et_poly)
         if not prod.is_zero():
             gamma = _lm_under(prod, compare)
             if not gamma.is_unit() and be != gamma:
@@ -345,8 +342,8 @@ def validate_ordering(
         cmp_ab = compare(al, be)
         if cmp_ab != 0:
             lo, hi = (al, be) if cmp_ab == LESS else (be, al)
-            p_lo = sys.poly_mul(sys.mono_mul(ga, lo), Polynomial.from_mono(et))
-            p_hi = sys.poly_mul(sys.mono_mul(ga, hi), Polynomial.from_mono(et))
+            p_lo = sys.poly_mul(sys.mono_mul(ga, Polynomial.from_mono(lo)), et_poly)
+            p_hi = sys.poly_mul(sys.mono_mul(ga, Polynomial.from_mono(hi)), et_poly)
             if not p_lo.is_zero() and not p_hi.is_zero():
                 lm_hi = _lm_under(p_hi, compare)
                 if not lm_hi.is_unit():

@@ -297,6 +297,7 @@ def eval_expr(node: ExprNode, sys: CommutationSystem) -> Polynomial:
                 "z[i,j] generators need a square generator count", node.pos
             )
         linear = gen_index(node.row, node.col, n).linear
+        sys.check_degree(node.power)
         return Polynomial.from_mono(Monomial.gen(linear, ngens, node.power))
     if isinstance(node, Group):
         return eval_expr(node.inner, sys)

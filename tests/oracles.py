@@ -414,7 +414,7 @@ def left_multiples_span(n, gens, v: Fraction, max_degree: int):
         if room < 0:
             continue
         for delta in _monomials_up_to(ngens, room):
-            prod = sysv.mono_mul_poly(delta, gv)
+            prod = sysv.mono_mul(delta, gv)
             span.add(_vector(prod, index))
     return span, index
 

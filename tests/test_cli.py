@@ -205,6 +205,44 @@ def test_degree_limit_from_file_overrides_env(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("expr", ["z[1,1]^70", "2*z[1,1]^70", "z[1,1]^70*1"])
+def test_degree_guard_bounds_parsed_powers(capsys, expr):
+    # the guard does not depend on how the input spells the power
+    code, out, err = run(capsys, "nf", "--n", "2", expr)
+    assert (code, out, err) == (3, "", "error: product degree 70 exceeds guard 64\n")
+
+
+def test_degree_guard_admits_its_own_degree(capsys):
+    code, out, _ = run(capsys, "nf", "--n", "2", "z[1,1]^64")
+    assert (code, out) == (0, "z[1,1]^64\n")
+
+
+def test_degree_guard_bounds_ideal_generators(capsys):
+    code, out, err = run(capsys, "gb", "--n", "2", "--ideal", "z[1,1]^70")
+    assert (code, out, err) == (3, "", "error: product degree 70 exceeds guard 64\n")
+
+
+def test_negative_pair_budget_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "gb", *DIAG, "--max-pairs", "-1")
+    assert (code, out, err) == (2, "", "error: pair budget must be >= 0, got -1\n")
+    path = tmp_path / "negative.json"
+    save_ideal(IdealFile(n=2, generators=["z[1,1]"], limits={"max_pairs": -1}), path)
+    code, out, _ = run(capsys, "gb", "--file", str(path))
+    assert (code, out) == (2, "")
+    # a budget of 0 is valid: the run stops before the first S-polynomial
+    code, _, err = run(capsys, "gb", *DIAG, "--max-pairs", "0")
+    assert (code, err) == (3, "error: pair budget 0 exhausted\n")
+
+
+def test_negative_degree_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MQ_MAX_DEGREE", "-1")
+    for expr in ("z[2,2]", "z[1,1]*z[2,2]"):
+        code, out, err = run(capsys, "nf", "--n", "2", expr)
+        assert (code, out, err) == (
+            2, "", "error: degree guard must be >= 0, got -1\n"
+        )
+
+
 def test_pair_limit_exits_3(capsys):
     argv = [
         "--n",

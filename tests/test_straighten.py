@@ -3,8 +3,12 @@
 import gc
 import random
 import weakref
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from quantmat import MqSpec, build_mq
 
 from quantmat.errors import (
     DegreeGuardExceeded,
@@ -19,7 +23,7 @@ from quantmat.pbw import (
     compare_monomials,
     mono_sum,
 )
-from quantmat.qfield import ONE, Q, QRat, ZERO
+from quantmat.qfield import ONE, SYMBOLIC, Q, QMode, QRat, ZERO
 from quantmat.straighten import (
     CommutationSystem,
     quantum_plane,
@@ -32,7 +36,9 @@ from quantmat.straighten import (
 from oracles import (
     commutator,
     naive_mono_mul,
+    naive_poly_mul,
     poly_canonicalize,
+    rand_coeff,
     rand_monomial,
     rand_poly,
 )
@@ -47,13 +53,13 @@ def _mono(sys, *gens):
 
 def test_reorder_same_row(sys2):
     # z11 * z12 = q * z12 z11
-    p = sys2.mono_mul(sys2.gen_mono(0), sys2.gen_mono(1))
+    p = sys2.mono_mul(sys2.gen_mono(0), sys2.gen_poly(1))
     assert p.terms == (Term(Q, _mono(sys2, 1, 0)),)
 
 
 def test_reorder_diagonal(sys2):
     # z11 * z22 = z22 z11 + (q - 1/q) z21 z12
-    p = sys2.mono_mul(sys2.gen_mono(0), sys2.gen_mono(3))
+    p = sys2.mono_mul(sys2.gen_mono(0), sys2.gen_poly(3))
     hook = Q - Q.inv()
     assert p.terms == (
         Term(ONE, _mono(sys2, 3, 0)),
@@ -62,12 +68,12 @@ def test_reorder_diagonal(sys2):
 
 
 def test_descending_product_is_already_normal(sys2):
-    p = sys2.mono_mul(sys2.gen_mono(3), sys2.gen_mono(0))
+    p = sys2.mono_mul(sys2.gen_mono(3), sys2.gen_poly(0))
     assert p.terms == (Term(ONE, _mono(sys2, 3, 0)),)
 
 
 def test_antidiagonal_pair_commutes(sys2):
-    p = sys2.mono_mul(sys2.gen_mono(1), sys2.gen_mono(2))
+    p = sys2.mono_mul(sys2.gen_mono(1), sys2.gen_poly(2))
     assert p.terms == (Term(ONE, _mono(sys2, 2, 1)),)
 
 
@@ -109,7 +115,45 @@ def test_agrees_with_naive_rewriting(sys2, sys3):
         for _ in range(rounds):
             u = rand_monomial(rng, sys.ngens, deg)
             v = rand_monomial(rng, sys.ngens, deg)
-            assert sys.mono_mul(u, v) == naive_mono_mul(sys, u, v)
+            assert sys.mono_mul(u, Polynomial.from_mono(v)) == naive_mono_mul(sys, u, v)
+
+
+@lru_cache(maxsize=None)
+def _mq3(q: str):
+    return build_mq(MqSpec(3, SYMBOLIC if q == "sym" else QMode.numeric(int(q))))
+
+
+_letters3 = st.lists(st.integers(0, 8), max_size=3)
+
+
+def _mono_of(letters) -> Monomial:
+    exps = [0] * 9
+    for g in letters:
+        exps[g] += 1
+    return Monomial(exps)
+
+
+@st.composite
+def _poly3(draw, qmode):
+    # <= 4 terms of degree <= 3 with rand_coeff coefficients
+    rng = draw(st.randoms(use_true_random=False))
+    monos = draw(st.lists(_letters3.map(_mono_of), min_size=1, max_size=4))
+    return poly_canonicalize(
+        [(rand_coeff(rng).specialize(qmode), m) for m in monos], 9
+    )
+
+
+@pytest.mark.parametrize("q", ["sym", "2"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_fold_agrees_with_naive_rewriting_n3(q, data):
+    # the fold merges after each letter of u; word rewriting never merges
+    sys = _mq3(q)
+    u = data.draw(_letters3.map(_mono_of), label="u")
+    f = data.draw(_poly3(sys.qmode), label="f")
+    g = data.draw(_poly3(sys.qmode), label="g")
+    assert sys.mono_mul(u, g) == naive_poly_mul(sys, Polynomial.from_mono(u), g)
+    assert sys.poly_mul(f, g) == naive_poly_mul(sys, f, g)
 
 
 def test_control_systems_agree_with_naive():
@@ -118,20 +162,20 @@ def test_control_systems_agree_with_naive():
         for _ in range(200):
             u = rand_monomial(rng, 2, 5)
             v = rand_monomial(rng, 2, 5)
-            assert sys.mono_mul(u, v) == naive_mono_mul(sys, u, v)
+            assert sys.mono_mul(u, Polynomial.from_mono(v)) == naive_mono_mul(sys, u, v)
 
 
 def test_quantum_plane_relation():
     qp = quantum_plane()
     # x*y = (1/q) y*x with x the lower generator
-    p = qp.mono_mul(qp.gen_mono(0), qp.gen_mono(1))
+    p = qp.mono_mul(qp.gen_mono(0), qp.gen_poly(1))
     assert p.terms == (Term(Q.inv(), Monomial((1, 1))),)
 
 
 def test_weyl_relation():
     w = weyl_algebra()
     # x*d = d*x - 1
-    p = w.mono_mul(w.gen_mono(0), w.gen_mono(1))
+    p = w.mono_mul(w.gen_mono(0), w.gen_poly(1))
     assert p == poly_canonicalize(
         [Term(ONE, Monomial((1, 1))), Term(-ONE, Monomial((0, 0)))], 2
     )
@@ -167,7 +211,7 @@ def test_degree_homogeneity(sys2, sys3):
         for _ in range(100):
             u = rand_monomial(rng, sys.ngens, 3)
             v = rand_monomial(rng, sys.ngens, 3)
-            p = sys.mono_mul(u, v)
+            p = sys.mono_mul(u, Polynomial.from_mono(v))
             assert {m.degree for _, m in p.terms} == {u.degree + v.degree}
 
 
@@ -243,9 +287,9 @@ def test_cache_effectiveness(sys2):
     sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
     u = Monomial((2, 1, 0, 1))
     v = Monomial((0, 1, 2, 0))
-    sys.mono_mul(u, v)
+    sys.mono_mul(u, Polynomial.from_mono(v))
     first = sys.cache_info().misses
-    sys.mono_mul(u, v)
+    sys.mono_mul(u, Polynomial.from_mono(v))
     assert sys.cache_info().misses == first
     assert sys.cache_info().hits > 0
 
@@ -253,7 +297,7 @@ def test_cache_effectiveness(sys2):
 def test_dropped_system_is_freed_without_collector(sys2):
     # the memo must not hold its system alive through a reference cycle
     sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
-    sys.mono_mul(Monomial((2, 1, 0, 1)), Monomial((0, 1, 2, 0)))
+    sys.mono_mul(Monomial((2, 1, 0, 1)), Polynomial.from_mono(Monomial((0, 1, 2, 0))))
     assert sys.cache_info().currsize > 0
     ref = weakref.ref(sys)
     was_enabled = gc.isenabled()
@@ -270,12 +314,28 @@ def test_degree_guard():
     qp = quantum_plane(max_degree=6)
     big = Monomial((4, 0))
     with pytest.raises(DegreeGuardExceeded):
-        qp.mono_mul(big, Monomial((0, 4)))
+        qp.mono_mul(big, Polynomial.from_mono(Monomial((0, 4))))
+
+
+def test_degree_guard_counts_the_whole_polynomial():
+    # u*g is guarded by deg u + deg g, whichever term of g carries the degree
+    qp = quantum_plane(max_degree=6)
+    g = Polynomial.one(2) + Polynomial.from_mono(Monomial((0, 4)))
+    with pytest.raises(DegreeGuardExceeded, match="product degree 7 exceeds guard 6"):
+        qp.mono_mul(Monomial((3, 0)), g)
+    assert qp.mono_mul(Monomial((2, 0)), g).degree() == 6
+    assert qp.mono_mul(Monomial((9, 0)), Polynomial.zero(2)).is_zero()
+
+
+def test_negative_degree_guard_is_rejected():
+    with pytest.raises(InvalidSpec, match="degree guard must be >= 0"):
+        quantum_plane(max_degree=-1)
+    assert quantum_plane(max_degree=0).max_degree == 0
 
 
 def test_dimension_mismatch(sys2):
     with pytest.raises(DimensionMismatch):
-        sys2.mono_mul(Monomial((1, 0)), Monomial((0, 1)))
+        sys2.mono_mul(Monomial((1, 0)), Polynomial.from_mono(Monomial((0, 1))))
 
 
 def test_constructor_rejects_bad_table():

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-WRAND3 = Path(__file__).resolve().parent.parent / "tools" / "wrand3.py"
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+WRAND3 = TOOLS / "wrand3.py"
 
 
 def test_wrand3_probe_at_q2():
@@ -24,3 +27,27 @@ def test_wrand3_probe_at_q2():
         "sha256 f4976f6266540784",
     ]
     assert len(lines) == 6 and lines[5].startswith("seconds ")
+
+
+
+@pytest.mark.parametrize(
+    "q, budget, digest",
+    [("sym", "4", "67eb2760736642ee"), ("2", "8", "907f82d44048392a")],
+)
+def test_outhash_probe_seed_1(q, budget, digest):
+    # one hash over the partial flags and rendered bases of the `mq gb`
+    # workload instances; a change that moves any basis by a byte moves it
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(TOOLS / "outhash.py"),
+            *("--q", q, "--seeds", "1", "--max-pairs", budget),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"seed 1 {digest}"
+    assert len(lines) == 2 and lines[1].startswith("seconds ")
