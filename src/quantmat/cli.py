@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys as _sys
-from fractions import Fraction
 
 from .dimension import (
     Staircase,
@@ -99,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _qmode_from(text: str) -> QMode:
     if text == "symbolic":
         return SYMBOLIC
-    return QMode.numeric(Fraction(text))
+    return QMode.numeric(text)
 
 
 def _resolve_system(args):
@@ -125,7 +124,7 @@ def _resolve_system(args):
     if env is not None:
         max_degree = int(env)
     if ideal is not None and "max_degree" in ideal.limits:
-        max_degree = int(ideal.limits["max_degree"])
+        max_degree = ideal.limits["max_degree"]
 
     system = build_mq(MqSpec(n, _qmode_from(qstr)), max_degree=max_degree)
 
@@ -136,7 +135,7 @@ def _resolve_system(args):
 
     max_pairs = getattr(args, "max_pairs", None)
     if max_pairs is None and ideal is not None and "max_pairs" in ideal.limits:
-        max_pairs = int(ideal.limits["max_pairs"])
+        max_pairs = ideal.limits["max_pairs"]
     if max_pairs is None:
         max_pairs = DEFAULT_MAX_PAIRS
     return system, gens, n, qstr, max_pairs

@@ -4,7 +4,9 @@ Left ideals only: divisors are multiplied by monomials on the left, and
 every product is straightened through the system before its leading data
 is read off.  Divisor selection scans the basis in sequence order and
 takes the first leading-monomial match, so division is a pure function
-of its inputs.  Completion uses the normal pair strategy (smallest lcm
+of its inputs.  Division keeps its running remainder as a dict of terms
+with a heap of their monomials, so each step costs the terms of one
+lifted divisor, not a rebuild of the remainder.  Completion uses the normal pair strategy (smallest lcm
 first) and discards a pair by Buchberger's chain criterion when two
 already-treated pairs through a third element account for it; the pair
 budget counts only the S-polynomials actually formed.
@@ -19,6 +21,7 @@ from typing import Sequence
 
 from .errors import EmptyBasis, InvalidSpec, PairLimitExceeded
 from .pbw import Monomial, Polynomial, Term, mono_divides, mono_lcm, mono_sub
+from .qfield import QRat
 from .straighten import CommutationSystem, scalar_mul
 
 DEFAULT_MAX_PAIRS = 10_000
@@ -72,29 +75,63 @@ def left_divide(
     The divisor for each step is the first element of G whose LM divides
     the current leading monomial; no remainder term is divisible by any
     LM(G[k]).  The identity reconstructs exactly under poly_mul.
+
+    The running remainder is a dict from monomial to coefficient with a
+    heap of its monomials, largest first.  A step pops the leading
+    monomial and subtracts the scaled tail of the lifted divisor into the
+    dict; nothing is re-sorted.  A monomial that cancels to zero leaves
+    its heap entry behind, and the pop skips it.
     """
     _check_divisors(G)
     ngens = f.ngens
     lms = [g.lm() for g in G]
+    # each LM as its (index, exponent) pairs: divisibility reads only those
+    supports = [[(i, e) for i, e in enumerate(lm.exps) if e] for lm in lms]
     quot_terms: list[list[Term]] = [[] for _ in G]
     rem_terms: list[Term] = []
-    p = f
-    while not p.is_zero():
-        c, m = p.lt()
-        for k, lm in enumerate(lms):
-            if mono_divides(lm, m):
-                delta = mono_sub(m, lm)
+    acc: dict[Monomial, QRat] = {}
+    # the terms of f descend, so their negated keys ascend: already a heap
+    heap = []
+    for c, m in f.terms:
+        acc[m] = c
+        heap.append((_heap_key(m), m))
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = acc.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was queued
+        exps = m.exps
+        for k, support in enumerate(supports):
+            if all(exps[i] >= e for i, e in support):
+                delta = Monomial([x - y for x, y in zip(exps, lms[k].exps)])
                 h = _lift(G[k], delta, sys)
                 coef = c / h.lc()
-                p = p - scalar_mul(coef, h)
+                neg = -coef
+                for ch, mh in h.terms[1:]:
+                    prev = acc.get(mh)
+                    if prev is None:
+                        acc[mh] = neg * ch
+                        heapq.heappush(heap, (_heap_key(mh), mh))
+                        continue
+                    s = prev + neg * ch
+                    if s.is_zero():
+                        del acc[mh]
+                    else:
+                        acc[mh] = s
                 # deltas decrease strictly with m, so the list stays sorted
                 quot_terms[k].append(Term(coef, delta))
                 break
         else:
             rem_terms.append(Term(c, m))
-            p = Polynomial(p.terms[1:], ngens)
     quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
     return quotients, Polynomial(tuple(rem_terms), ngens)
+
+
+def _heap_key(m: Monomial) -> tuple[int, ...]:
+    # heapq pops the smallest item; negated PaperLex keys pop the largest
+    # monomial first.  Equal keys mean equal monomials, so a tie compares
+    # them by == and never by <.
+    return tuple([-x for x in m.sort_key()])
 
 
 def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polynomial:

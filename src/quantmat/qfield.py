@@ -222,7 +222,11 @@ class QMode:
 
     @staticmethod
     def numeric(value) -> "QMode":
-        return QMode(Fraction(value))
+        try:
+            v = Fraction(value)
+        except ZeroDivisionError:
+            raise InvalidSpec(f"numeric q {value} has a zero denominator") from None
+        return QMode(v)
 
     def __str__(self):
         return "symbolic" if self.value is None else str(self.value)

@@ -10,7 +10,11 @@ validators.
 Every product goes through one algorithm, ``CommutationSystem.mono_mul(u, g)``:
 the left multiple of a polynomial g by a monomial u, found by folding u's
 letters over all of g, lowest letter first, and merging after each letter.
-Each letter times a basis word comes from a memoized table lookup.
+A letter at or above a word's top letter only raises its exponent; any
+other letter times a basis word comes from a memoized table lookup.  In
+M_q(n) most pairs swap with a power of q and no tail, so a memo miss moves
+the letter past all such letters of the word in one pass and recurses
+only at the first letter whose relation has a tail.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .pbw import (
     Polynomial,
     Term,
     compare_monomials,
-    mono_sub,
     mono_sum,
     poly_from_dict,
 )
@@ -101,29 +104,63 @@ class CommutationSystem:
             )
 
     def _gen_mul_mono_impl(self, g: int, mono: Monomial) -> Polynomial:
-        """Normal form of z_g * mono, mono a basis word."""
-        h = mono.top()
-        if g >= h:
-            # prepending keeps the word descending
-            exps = list(mono.exps)
-            exps[g] += 1
-            return Polynomial.from_mono(Monomial(exps))
-        lam, f = self.table[(h, g)]
-        z_h = self.gen_mono(h)
-        rest = mono_sub(mono, z_h)
-        # z_g z_h = lam z_h z_g + f, so z_g*(z_h*rest) = lam z_h*(z_g*rest) + f*rest.
-        # Every monomial of z_g*rest has top letter <= h, so z_h prepends freely
-        # and the lifted head stays sorted.
-        sub = self._gen_mul_mono(g, rest)
-        head = tuple(Term(c, mono_sum(z_h, m)) for c, m in sub.terms)
-        tail = self.poly_mul(f, Polynomial.from_mono(rest))
-        return scalar_mul(lam, Polynomial(head, self.ngens)) + tail
+        """Normal form of z_g * mono, mono a basis word.
+
+        One pass over the letters of mono above g, from the top down: a
+        letter z_h whose pair has no tail only scales, z_g z_h^e =
+        lam^e z_h^e z_g.  With no tail met the result is one term.  At the
+        first letter z_h with a tail, mono = P z_h rest and
+
+            z_g * mono = scale P (lam z_h (z_g rest) + f rest),
+
+        one memo lookup for z_g rest and one product f*rest.  Every term in
+        the bracket has its letters at or below h (solvability puts LM(f)
+        below z_h z_g), so z_h and P prepend by adding exponents and the
+        terms stay sorted.
+        """
+        exps = mono.exps
+        table = self.table
+        scale = ONE
+        for h in range(len(exps) - 1, g, -1):
+            e = exps[h]
+            if not e:
+                continue
+            lam, f = table[(h, g)]
+            if f.terms:
+                break
+            for _ in range(e):
+                scale = scale * lam
+        else:
+            out = list(exps)
+            out[g] += 1
+            # a lam = 0 of a table built without validation gives zero here
+            return Polynomial.from_mono(Monomial(out), scale)
+        if scale.is_zero():
+            return Polynomial.zero(self.ngens)
+        above = (0,) * (h + 1) + exps[h + 1 :]
+        rest = Monomial(exps[:h] + (e - 1,) + (0,) * (len(exps) - h - 1))
+        lifted = list(above)
+        lifted[h] = 1
+        head = scale * lam
+        acc: dict[Monomial, QRat] = {}
+        if not head.is_zero():
+            for c, m in self._gen_mul_mono(g, rest).terms:
+                acc[Monomial([x + y for x, y in zip(m.exps, lifted)])] = head * c
+        for c, m in self.poly_mul(f, Polynomial.from_mono(rest)).terms:
+            key = Monomial([x + y for x, y in zip(m.exps, above)])
+            prev = acc.get(key)
+            cc = scale * c
+            acc[key] = cc if prev is None else prev + cc
+        return poly_from_dict(acc, self.ngens)
 
     def mono_mul(self, u: Monomial, g: Polynomial) -> Polynomial:
         """Normal form of the left multiple u*g.
 
         The one product algorithm: division and S-polynomials lift by it,
-        and ``poly_mul`` sums it over the terms of its left factor.
+        and ``poly_mul`` sums it over the terms of its left factor.  A
+        letter at or above the top letter of a term only raises that
+        term's exponent; the other terms go through the memoized
+        letter-times-word table.
         """
         if u.ngens != self.ngens or g.ngens != self.ngens:
             raise DimensionMismatch(
@@ -135,10 +172,18 @@ class CommutationSystem:
         self.check_degree(u.degree + g.degree())
         # fold u's letters over all of g, lowest first: u*g = z_1(z_2(...(z_r*g)))
         for letter, e in enumerate(u.exps):
+            above = letter + 1
             for _ in range(e):
                 acc: dict[Monomial, QRat] = {}
                 for c, m in g.terms:
-                    _add_scaled(acc, c, self._gen_mul_mono(letter, m))
+                    if any(m.exps[above:]):
+                        _add_scaled(acc, c, self._gen_mul_mono(letter, m))
+                        continue
+                    out = list(m.exps)
+                    out[letter] += 1
+                    key = Monomial(out)
+                    prev = acc.get(key)
+                    acc[key] = c if prev is None else prev + c
                 g = poly_from_dict(acc, self.ngens)
         return g
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InvalidSpec, NegativeGeneratorPower, ParseError
 from .pbw import Monomial, Polynomial, gen_index
-from .qfield import P_ONE, QRat, ZERO
+from .qfield import P_ONE, QMode, QRat, ZERO
 from .straighten import CommutationSystem, scalar_mul
 
 SCHEMA_VERSION = 1
@@ -348,8 +348,10 @@ class IdealFile:
         if self.ordering != "paperlex":
             raise InvalidSpec(f"unsupported ordering {self.ordering!r}")
         if self.q != "symbolic":
-            if Fraction(self.q) == 0:
-                raise InvalidSpec("numeric q must be nonzero")
+            QMode.numeric(self.q)  # raises for a zero or malformed q
+        for key in ("max_pairs", "max_degree"):
+            if key in self.limits:
+                _check_integer(f"limits.{key}", self.limits[key])
 
     def to_json_dict(self) -> dict:
         return {
@@ -363,15 +365,32 @@ class IdealFile:
 
     @staticmethod
     def from_json_dict(data: dict) -> "IdealFile":
+        if not isinstance(data, dict):
+            raise InvalidSpec("an ideal file must hold a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise InvalidSpec(f"unsupported ideal file schema {data.get('schema')!r}")
+        if "n" not in data:
+            raise InvalidSpec("ideal file has no matrix dimension n")
+        generators = data.get("generators", [])
+        if not isinstance(generators, list):
+            raise InvalidSpec("ideal file generators must be a JSON array")
+        limits = data.get("limits", {})
+        if not isinstance(limits, dict):
+            raise InvalidSpec("ideal file limits must be a JSON object")
         return IdealFile(
-            n=int(data["n"]),
+            n=_check_integer("n", data["n"]),
             q=str(data.get("q", "symbolic")),
-            generators=[str(s) for s in data.get("generators", [])],
+            generators=[str(s) for s in generators],
             ordering=str(data.get("ordering", "paperlex")),
-            limits=dict(data.get("limits", {})),
+            limits=dict(limits),
         )
+
+
+def _check_integer(name: str, value) -> int:
+    # bool is an int subclass, and a float limit would be truncated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def load_ideal(path) -> IdealFile:

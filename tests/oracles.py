@@ -5,9 +5,11 @@ word-by-word rewriting instead of memoized generator folds, dense Fraction
 linear algebra at rational q values instead of symbolic division, finite
 differences of the Hilbert function instead of subset search,
 enumeration of standard monomials instead of the Hilbert-series numerator,
-every S-pair of a basis instead of completion's pair criteria, and Q(q)
-as Fraction polynomials reduced by the monic Euclidean algorithm instead
-of coprime integer polynomials reduced by a gcd in Z[q].
+every S-pair of a basis instead of completion's pair criteria, a
+remainder rebuilt at every division step instead of a heap-ordered
+accumulator, and Q(q) as Fraction polynomials reduced by the monic
+Euclidean algorithm instead of coprime integer polynomials reduced by a
+gcd in Z[q].
 """
 
 from __future__ import annotations
@@ -266,6 +268,36 @@ def naive_poly_mul(sys, f: Polynomial, g: Polynomial) -> Polynomial:
                 tuple(Term(cf * cg * c, m) for c, m in prod.terms), sys.ngens
             )
     return acc
+
+
+# -- division: rebuild the remainder at every step ------------------------
+
+
+def rebuild_left_divide(f: Polynomial, G, sys):
+    """Reference left division: the first divisor whose LM divides the
+    leading monomial, and the whole remainder rebuilt by polynomial
+    subtraction at every step.  Returns (quotients, remainder) as
+    groebner.left_divide does; lifts use the engine's mono_mul.
+    """
+    ngens = f.ngens
+    quot_terms = [[] for _ in G]
+    rem_terms = []
+    p = f
+    while not p.is_zero():
+        c, m = p.lt()
+        for k, g in enumerate(G):
+            if _lm_divides(g.lm(), m):
+                delta = Monomial([y - x for x, y in zip(g.lm().exps, m.exps)])
+                h = g if delta.is_unit() else sys.mono_mul(delta, g)
+                coef = c / h.lc()
+                p = p - _scaled(coef, h)
+                quot_terms[k].append(Term(coef, delta))
+                break
+        else:
+            rem_terms.append(Term(c, m))
+            p = Polynomial(p.terms[1:], ngens)
+    quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
+    return quotients, Polynomial(tuple(rem_terms), ngens)
 
 
 # -- Groebner certificate: every S-pair, no criterion ---------------------

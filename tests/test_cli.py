@@ -243,6 +243,53 @@ def test_negative_degree_guard_exits_2(capsys, monkeypatch):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["nf", "--n", "2", "--q", "1/0", "z[1,1]"], ["validate", "--n", "2", "--q", "1/0"]],
+)
+def test_zero_denominator_q_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: numeric q 1/0 has a zero denominator\n")
+
+
+_GOOD_FILE = {"schema": 1, "n": 2, "generators": ["z[1,1]"]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({**_GOOD_FILE, "q": "1/0"}, "numeric q 1/0 has a zero denominator"),
+        (
+            {**_GOOD_FILE, "limits": {"max_pairs": None}},
+            "limits.max_pairs must be an integer, got None",
+        ),
+        (
+            {**_GOOD_FILE, "limits": {"max_pairs": 1.7}},
+            "limits.max_pairs must be an integer, got 1.7",
+        ),
+        (
+            {**_GOOD_FILE, "limits": {"max_degree": 1.7}},
+            "limits.max_degree must be an integer, got 1.7",
+        ),
+        ({**_GOOD_FILE, "limits": [1]}, "ideal file limits must be a JSON object"),
+        ({**_GOOD_FILE, "generators": 5}, "ideal file generators must be a JSON array"),
+        (
+            {**_GOOD_FILE, "generators": "z[1,1]"},
+            "ideal file generators must be a JSON array",
+        ),
+        ({**_GOOD_FILE, "n": "2"}, "n must be an integer, got '2'"),
+        ({"schema": 1, "generators": ["z[1,1]"]}, "ideal file has no matrix dimension n"),
+        ([_GOOD_FILE], "an ideal file must hold a JSON object"),
+    ],
+)
+def test_malformed_ideal_file_exits_2(tmp_path, capsys, data, message):
+    # one error line, no traceback; exit 1 is kept for negative answers
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "gb", "--file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_pair_limit_exits_3(capsys):
     argv = [
         "--n",

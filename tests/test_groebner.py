@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantmat import MqSpec, build_mq, format_poly, parse_poly
 from quantmat.errors import EmptyBasis, InvalidSpec, PairLimitExceeded
@@ -28,8 +29,10 @@ from oracles import (
     poly_canonicalize,
     quantum_minors,
     rand_poly,
+    rebuild_left_divide,
     specialize_terms,
 )
+from test_straighten import _mq3, _poly3
 
 QVALUES = (Fraction(2), Fraction(3), Fraction(1, 2))
 
@@ -97,6 +100,31 @@ def test_divide_skips_nondividing_basis(sys2):
     qs, r = left_divide(_gp(sys2, 0), [_gp(sys2, 3)], sys2)
     assert qs[0].is_zero()
     assert r == _gp(sys2, 0)
+
+
+def test_divide_recreates_a_cancelled_term():
+    # quantum plane, y > x: dividing y^2 by y^2 + x + y cancels x, and the
+    # next step, by y - x, creates x again
+    qp = quantum_plane()
+    x, y = qp.gen_poly(0), qp.gen_poly(1)
+    y2 = qp.poly_mul(y, y)
+    f = y2 + x
+    G = [y2 + x + y, y - x]
+    qs, r = left_divide(f, G, qp)
+    assert (qs, r) == rebuild_left_divide(f, G, qp)
+    assert qs == [Polynomial.one(2), -Polynomial.one(2)]
+    assert r == -x
+
+
+@pytest.mark.parametrize("q", ["sym", "2"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_divide_matches_rebuild_reference_n3(q, data):
+    sys = _mq3(q)
+    f = data.draw(_poly3(sys.qmode, 4), label="f")
+    nonzero = _poly3(sys.qmode, 2).filter(lambda p: not p.is_zero())
+    G = data.draw(st.lists(nonzero, min_size=1, max_size=4), label="G")
+    assert left_divide(f, G, sys) == rebuild_left_divide(f, G, sys)
 
 
 def test_spoly_of_element_with_itself(sys2):

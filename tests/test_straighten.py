@@ -134,10 +134,11 @@ def _mono_of(letters) -> Monomial:
 
 
 @st.composite
-def _poly3(draw, qmode):
-    # <= 4 terms of degree <= 3 with rand_coeff coefficients
+def _poly3(draw, qmode, max_degree=3):
+    # <= 4 terms of degree <= max_degree with rand_coeff coefficients
     rng = draw(st.randoms(use_true_random=False))
-    monos = draw(st.lists(_letters3.map(_mono_of), min_size=1, max_size=4))
+    letters = st.lists(st.integers(0, 8), max_size=max_degree)
+    monos = draw(st.lists(letters.map(_mono_of), min_size=1, max_size=4))
     return poly_canonicalize(
         [(rand_coeff(rng).specialize(qmode), m) for m in monos], 9
     )
@@ -163,6 +164,41 @@ def test_control_systems_agree_with_naive():
             u = rand_monomial(rng, 2, 5)
             v = rand_monomial(rng, 2, 5)
             assert sys.mono_mul(u, Polynomial.from_mono(v)) == naive_mono_mul(sys, u, v)
+
+
+def test_tail_below_tail_free_letter_agrees_with_naive():
+    # z_0 passes the tail-free z_2 before it meets z_1, whose pair has a
+    # Weyl-style tail; the two controls above have no such letter order
+    table = {
+        (2, 0): (Q.inv(), Polynomial.zero(3)),
+        (2, 1): (Q, Polynomial.zero(3)),
+        (1, 0): (ONE, Polynomial.one(3)),
+    }
+    sys = CommutationSystem(3, table)
+    words = [
+        Monomial((a, b, c))
+        for a in range(5)
+        for b in range(5 - a)
+        for c in range(5 - a - b)
+    ]
+    for g in range(3):
+        u = sys.gen_mono(g)
+        for w in words:
+            assert sys.mono_mul(u, Polynomial.from_mono(w)) == naive_mono_mul(sys, u, w)
+
+
+def test_zero_lambda_head_drops_out():
+    # a table built without validation may carry lam = 0: with a tail only
+    # the tail is left, without one the product is zero
+    one = Polynomial.one(2)
+    for f in (-one, Polynomial.zero(2)):
+        sys = CommutationSystem(2, {(1, 0): (ZERO, f)}, validate=False)
+        for a in range(4):
+            for b in range(4):
+                u, w = sys.gen_mono(0), Monomial((a, b))
+                p = sys.mono_mul(u, Polynomial.from_mono(w))
+                assert p == naive_mono_mul(sys, u, w)
+                assert p.is_zero() == (b > 0 and f.is_zero())
 
 
 def test_quantum_plane_relation():

@@ -1,5 +1,6 @@
 """The scripts in tools/ run from a source checkout."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ def test_wrand3_probe_at_q2():
     assert len(lines) == 6 and lines[5].startswith("seconds ")
 
 
-
 @pytest.mark.parametrize(
     "q, budget, digest",
     [("sym", "4", "67eb2760736642ee"), ("2", "8", "907f82d44048392a")],
@@ -51,3 +51,42 @@ def test_outhash_probe_seed_1(q, budget, digest):
     lines = proc.stdout.splitlines()
     assert lines[0] == f"seed 1 {digest}"
     assert len(lines) == 2 and lines[1].startswith("seconds ")
+
+
+def test_abround_probe_against_this_checkout():
+    # both sides load this checkout's engine, so the outputs must agree
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(TOOLS / "abround.py"),
+            *("--against", str(TOOLS.parent), "--seed", "1", "--seconds", "1"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "seed 1: 13 instances, outputs identical"
+    assert [line.split()[:3] for line in lines[1:3]] == [
+        ["base", "median", "round"],
+        ["head", "median", "round"],
+    ]
+    assert lines[3].startswith("median head/base ")
+    assert lines[4].startswith("head won ") and lines[4].endswith(" rounds")
+    assert len(lines) == 5
+
+
+def test_abround_probe_exits_1_when_outputs_differ(tmp_path):
+    engine = tmp_path / "src" / "quantmat"
+    shutil.copytree(TOOLS.parent / "src" / "quantmat", engine)
+    with open(engine / "__init__.py", "a") as fh:
+        fh.write("\nformat_poly = lambda p, names: 'other'\n")
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "abround.py"), "--against", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "outputs differ on instance minors\n"

@@ -1,0 +1,117 @@
+"""In-process A/B timing of whole `gb_sym` rounds against another checkout.
+
+    python tools/abround.py --against DIR [--seed N] [--seconds S]
+
+Whole-run benchmark figures drift between runs on a shared machine; two
+engines timed in one process, round by round, see the same drift.  The
+script loads DIR/src/quantmat (the base) and this checkout's
+src/quantmat (the head) under two package names, builds the `gb_sym`
+instances of `gb_instances` in perfbench/workloads.py for the seed, and
+runs `mq gb` on every instance through each package's library, as
+`gb_op` does.  It exits 1 if the two sides render a different basis or
+partial flag for any instance.  Then it alternates whole rounds, base
+and head in turn, each timed by process CPU time, until S seconds have
+passed (at least one pair of rounds).  It prints each side's median
+round, the median of the per-pair head/base ratios, and how many pairs
+the head won.  It supplements perfbench/run.py; it does not replace it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+from workloads import SYM_BUDGET, gb_instances  # noqa: E402
+
+
+def load_package(name: str, src: Path):
+    """Import the quantmat package in the directory src under another name."""
+    init = src / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no quantmat package at {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(src)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def gb_outputs(pkg, instances) -> list[str]:
+    """`mq gb` at symbolic q on every instance: partial flag and basis text."""
+    out = []
+    for inst in instances:
+        system = pkg.build_mq(pkg.MqSpec(3, pkg.SYMBOLIC))
+        gens = [pkg.parse_poly(t, system) for t in inst.gens]
+        try:
+            basis = pkg.buchberger(gens, system, max_pairs=inst.max_pairs)
+            partial = "no"
+        except pkg.PairLimitExceeded as exc:
+            basis = exc.partial
+            partial = "yes"
+        text = "\n".join(pkg.format_poly(g, system.gen_names) for g in basis.elements)
+        out.append(f"partial {partial}\n{text}")
+    return out
+
+
+def timed_round(pkg, instances) -> float:
+    gc.collect()
+    start = time.process_time()
+    gb_outputs(pkg, instances)
+    return time.process_time() - start
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument(
+        "--against", type=Path, required=True, help="checkout holding the base engine"
+    )
+    ap.add_argument("--seed", type=int, default=1, help="gb_sym instance seed")
+    ap.add_argument(
+        "--seconds", type=float, default=30.0, help="wall-clock time for the rounds"
+    )
+    args = ap.parse_args(argv)
+    base = load_package("quantmat_base", args.against.resolve() / "src" / "quantmat")
+    head = load_package("quantmat_head", ROOT / "src" / "quantmat")
+    instances = gb_instances(args.seed, SYM_BUDGET)
+
+    base_out = gb_outputs(base, instances)
+    head_out = gb_outputs(head, instances)
+    for inst, a, b in zip(instances, base_out, head_out):
+        if a != b:
+            print(f"outputs differ on instance {inst.label}")
+            return 1
+    print(f"seed {args.seed}: {len(instances)} instances, outputs identical")
+
+    base_t: list[float] = []
+    head_t: list[float] = []
+    deadline = time.perf_counter() + args.seconds
+    while not base_t or time.perf_counter() < deadline:
+        # swap the order every pair so neither side always runs first
+        if len(base_t) % 2:
+            head_t.append(timed_round(head, instances))
+            base_t.append(timed_round(base, instances))
+        else:
+            base_t.append(timed_round(base, instances))
+            head_t.append(timed_round(head, instances))
+
+    ratios = [h / b for b, h in zip(base_t, head_t)]
+    wins = sum(h < b for b, h in zip(base_t, head_t))
+    print(f"base median round {1000 * statistics.median(base_t):.1f} ms")
+    print(f"head median round {1000 * statistics.median(head_t):.1f} ms")
+    print(f"median head/base {statistics.median(ratios):.3f}")
+    print(f"head won {wins} of {len(ratios)} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
