@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys as _sys
+from dataclasses import asdict
 
 from .dimension import (
     Staircase,
@@ -122,7 +123,10 @@ def _resolve_system(args):
     max_degree = DEFAULT_MAX_DEGREE
     env = os.environ.get("MQ_MAX_DEGREE")
     if env is not None:
-        max_degree = int(env)
+        try:
+            max_degree = int(env)
+        except ValueError:
+            raise InvalidSpec(f"MQ_MAX_DEGREE must be an integer, got {env!r}") from None
     if ideal is not None and "max_degree" in ideal.limits:
         max_degree = ideal.limits["max_degree"]
 
@@ -187,11 +191,7 @@ def _emit_basis(args, system, basis, n, qstr, partial=False) -> None:
         "q": qstr,
         "ordering": "paperlex",
         "basis": rendered,
-        "stats": {
-            "pairs_considered": basis.stats.pairs_considered,
-            "reductions_to_zero": basis.stats.reductions_to_zero,
-            "chain_skips": basis.stats.chain_skips,
-        },
+        "stats": asdict(basis.stats),
     }
     if partial:
         obj["partial"] = True

@@ -2,14 +2,13 @@
 
 Left ideals only: divisors are multiplied by monomials on the left, and
 every product is straightened through the system before its leading data
-is read off.  Divisor selection scans the basis in sequence order and
-takes the first leading-monomial match, so division is a pure function
-of its inputs.  Division keeps its running remainder as a dict of terms
-with a heap of their monomials, so each step costs the terms of one
-lifted divisor, not a rebuild of the remainder.  Completion uses the normal pair strategy (smallest lcm
-first) and discards a pair by Buchberger's chain criterion when two
-already-treated pairs through a third element account for it; the pair
-budget counts only the S-polynomials actually formed.
+is read off.  Division takes the first basis element, in sequence order,
+whose LM divides, so it is a pure function of its inputs, and keeps its
+remainder as a dict of terms with a heap of their monomials.  Completion
+takes pairs smallest lcm first, drops a pair by Buchberger's chain
+criterion when two treated pairs through a third element account for it,
+charges the pair budget only for S-polynomials formed, and ends with one
+forward sweep of interreduction.
 """
 
 from __future__ import annotations
@@ -172,13 +171,14 @@ def buchberger(
     elems = list(dict.fromkeys(g.monic() for g in inputs))
     view = sorted((g.lm().sort_key(), t) for t, g in enumerate(elems))
 
-    heap: list[tuple[tuple[int, ...], int, int]] = []
+    # (lcm key, i, j, lcm): (i, j) is unique, so no Monomial is compared
+    heap: list[tuple[tuple[int, ...], int, int, Monomial]] = []
     pending: set[tuple[int, int]] = set()
 
     def add_pairs(j: int) -> None:
         for i in range(j):
             lcm = mono_lcm(elems[i].lm(), elems[j].lm())
-            heapq.heappush(heap, (lcm.sort_key(), i, j))
+            heapq.heappush(heap, (lcm.sort_key(), i, j, lcm))
             pending.add((i, j))
 
     for j in range(len(elems)):
@@ -188,9 +188,9 @@ def buchberger(
     drops = 0
     skips = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         pending.remove((i, j))
-        if _chain_redundant(i, j, elems, pending):
+        if _chain_redundant(i, j, lcm, elems, pending):
             skips += 1
             continue
         pairs += 1
@@ -222,12 +222,12 @@ def buchberger(
 
 
 def _chain_redundant(
-    i: int, j: int, elems: Sequence[Polynomial], pending: set[tuple[int, int]]
+    i: int, j: int, gamma: Monomial, elems: Sequence[Polynomial], pending: set
 ) -> bool:
     """Chain criterion (Gebauer & Moeller, J. Symb. Comp. 6, 1988).
 
-    The pair (i, j) is redundant when a third element k has
-    LM(k) | lcm(LM(i), LM(j)) and neither (i, k) nor (j, k) is pending.
+    The pair (i, j) with gamma = lcm(LM(i), LM(j)) is redundant when a third
+    element k has LM(k) | gamma and neither (i, k) nor (j, k) is pending.
     Its S-polynomial is then a combination of monomial left multiples of
     S(i, k) and S(k, j) plus left multiples of g_i, g_k, g_j with leading
     monomials below the lcm.  In an algebra of solvable type a monomial
@@ -243,7 +243,6 @@ def _chain_redundant(
     The product criterion (coprime leading monomials) rests on
     commutativity and does not hold in M_q(n), so it is not used.
     """
-    gamma = mono_lcm(elems[i].lm(), elems[j].lm())
     for k, g in enumerate(elems):
         if k == i or k == j or not mono_divides(g.lm(), gamma):
             continue
@@ -260,31 +259,31 @@ def _interreduce(
     """Mutual full reduction: monic, sorted by ascending LM, no term
     divisible by another element's LM, generating the same ideal.
 
-    A fixpoint loop: after each change it restarts from a fresh sort and
-    reduces each element by all the others.  The result is the unique
-    reduced basis only when the input is a Groebner basis; a budgeted
-    partial basis comes out interreduced too, but its form depends on the
-    order of the loop.
+    One sweep in ascending LM order divides each element by the others.
+    A zero remainder is deleted and one with the same LM replaces it;
+    neither adds an LM, so no earlier element gains a reducible term.  A
+    remainder with a lower LM can make earlier elements reducible, so the
+    list is sorted again and the sweep restarts at 0.  A loop restarting
+    after every change makes the same changes and only adds divisions
+    that change nothing, so even a budgeted partial basis, whose form
+    depends on the order of the changes, comes out the same.  On a
+    Groebner basis no LM drops, each element is divided once, and the
+    result is the unique reduced basis.
     """
-    items = [p.monic() for p in elems]
-    changed = True
-    while changed:
-        changed = False
-        items.sort(key=lambda p: p.lm().sort_key())
-        for t, p in enumerate(items):
-            others = items[:t] + items[t + 1 :]
-            if not others:
-                break
-            _, r = left_divide(p, others, sys)
-            if r == p:
-                continue
-            changed = True
-            if r.is_zero():
-                del items[t]
-            else:
-                items[t] = r.monic()
-            break
-    items.sort(key=lambda p: p.lm().sort_key())
+    items = sorted((p.monic() for p in elems), key=lambda p: p.lm().sort_key())
+    t = 0
+    while t < len(items) and len(items) > 1:
+        p = items[t]
+        _, r = left_divide(p, items[:t] + items[t + 1 :], sys)
+        if r.is_zero():
+            del items[t]
+            continue
+        items[t] = r.monic()
+        if r.lm() == p.lm():
+            t += 1
+        else:
+            items.sort(key=lambda p: p.lm().sort_key())
+            t = 0
     return items
 
 

@@ -7,7 +7,8 @@ differences of the Hilbert function instead of subset search,
 enumeration of standard monomials instead of the Hilbert-series numerator,
 every S-pair of a basis instead of completion's pair criteria, a
 remainder rebuilt at every division step instead of a heap-ordered
-accumulator, and Q(q) as Fraction polynomials reduced by the monic
+accumulator, interreduction that restarts after every change instead of
+one forward sweep, and Q(q) as Fraction polynomials reduced by the monic
 Euclidean algorithm instead of coprime integer polynomials reduced by a
 gcd in Z[q].
 """
@@ -28,6 +29,7 @@ from quantmat import (
     build_mq,
 )
 from quantmat.errors import DimensionMismatch, DivisionByZero
+from quantmat.groebner import left_divide
 from quantmat.pbw import EQUAL, GREATER, LESS, Term, poly_from_dict
 from quantmat.qfield import ONE
 
@@ -298,6 +300,37 @@ def rebuild_left_divide(f: Polynomial, G, sys):
             p = Polynomial(p.terms[1:], ngens)
     quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
     return quotients, Polynomial(tuple(rem_terms), ngens)
+
+
+# -- interreduction: restart after every change ---------------------------
+
+
+def fixpoint_interreduce(elems, sys) -> list[Polynomial]:
+    """Reference interreduction: sort by ascending LM, divide each element
+    by all the others, and after the first change start again from a fresh
+    sort, until a whole pass changes nothing.  Division is the engine's
+    left_divide, so this checks only the order of the changes.
+    """
+    items = [p.monic() for p in elems]
+    changed = True
+    while changed:
+        changed = False
+        items.sort(key=lambda p: p.lm().sort_key())
+        for t, p in enumerate(items):
+            others = items[:t] + items[t + 1 :]
+            if not others:
+                break
+            _, r = left_divide(p, others, sys)
+            if r == p:
+                continue
+            changed = True
+            if r.is_zero():
+                del items[t]
+            else:
+                items[t] = r.monic()
+            break
+    items.sort(key=lambda p: p.lm().sort_key())
+    return items
 
 
 # -- Groebner certificate: every S-pair, no criterion ---------------------

@@ -243,6 +243,15 @@ def test_negative_degree_guard_exits_2(capsys, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_non_integer_degree_guard_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("MQ_MAX_DEGREE", value)
+    code, out, err = run(capsys, "nf", "--n", "2", "z[2,2]")
+    assert (code, out, err) == (
+        2, "", f"error: MQ_MAX_DEGREE must be an integer, got {value!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["nf", "--n", "2", "--q", "1/0", "z[1,1]"], ["validate", "--n", "2", "--q", "1/0"]],

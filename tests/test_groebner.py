@@ -6,13 +6,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
+import quantmat.groebner as gb
 from quantmat import MqSpec, build_mq, format_poly, parse_poly
 from quantmat.errors import EmptyBasis, InvalidSpec, PairLimitExceeded
 from quantmat.groebner import (
     BasisStats,
     GroebnerBasis,
+    _interreduce,
     buchberger,
     ideal_member,
     interreduce,
@@ -24,6 +26,7 @@ from quantmat.qfield import ONE, Q, QMode, QRat
 from quantmat.straighten import quantum_plane, scalar_mul, weyl_algebra
 
 from oracles import (
+    fixpoint_interreduce,
     is_left_groebner,
     membership_oracle,
     poly_canonicalize,
@@ -311,6 +314,93 @@ def test_interreduce_idempotent_and_monic(sys2):
     red = interreduce(GroebnerBasis(elements=(two_z,)), sys2)
     assert red.elements == (_gp(sys2, 0),)
     assert interreduce(red, sys2).elements == red.elements
+
+
+_INTERREDUCE_SYSTEMS = {
+    "mq2_sym": lambda: build_mq(MqSpec(2)),
+    "mq2_q2": lambda: build_mq(MqSpec(2, QMode.numeric(2))),
+    "quantum_plane": quantum_plane,
+    "weyl": weyl_algebra,
+}
+
+
+class _Swell(Exception):
+    """A remainder coefficient grew past _MAX_COEF_BITS."""
+
+
+# Interreducing a list that is not a Groebner basis can climb in degree
+# under PaperLex while its coefficients double at each division (one q = 2
+# draw reached degree 21 and 180k bits in 74 divisions).  Draws that swell
+# are rejected before a single division takes seconds.
+_MAX_COEF_BITS = 256
+
+
+def _coef_bits(c: QRat) -> int:
+    parts = c.num + c.den
+    return sum(x.numerator.bit_length() + x.denominator.bit_length() for x in parts)
+
+
+@pytest.mark.parametrize("name", list(_INTERREDUCE_SYSTEMS))
+def test_interreduce_matches_fixpoint_reference(name):
+    # random element lists are rarely Groebner bases, so the interreduced
+    # form depends on the order of the changes, as for a budgeted partial
+    # basis; the sweep must make the changes the restarting loop makes
+    sys = _INTERREDUCE_SYSTEMS[name]()
+    lm_drops = []
+
+    def divide(f, G, sys):
+        qs, r = left_divide(f, G, sys)
+        if any(_coef_bits(c) > _MAX_COEF_BITS for c, _ in r.terms):
+            raise _Swell
+        if not r.is_zero() and r.lm() != f.lm():
+            lm_drops.append(f)
+        return qs, r
+
+    @settings(deadline=None, max_examples=60)
+    @given(rng=st.randoms(use_true_random=False), size=st.integers(2, 5))
+    def check(rng, size):
+        elems = [rand_poly(rng, sys.ngens, max_degree=3) for _ in range(size)]
+        if sys.qmode.value is not None:
+            elems = [specialize_terms(p, Fraction(2), sys.ngens) for p in elems]
+            assume(not any(p.is_zero() for p in elems))
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gb, "left_divide", divide)
+                swept = _interreduce(elems, sys)
+        except _Swell:
+            reject()
+        assert swept == fixpoint_interreduce(elems, sys)
+
+    check()
+    # some draws reach the branch that sorts again and restarts the sweep
+    assert lm_drops
+
+
+def test_interreduce_divides_each_element_once(sys3, monkeypatch):
+    # completion hands over a Groebner basis that is not yet reduced: no LM
+    # can drop, so the sweep divides each element once
+    gens = [parse_poly(m, sys3) for m in quantum_minors(3)]
+    gens.append(parse_poly("z[1,1] + z[2,2] + z[3,3] - 2", sys3))
+    handed = []
+
+    def capture(elems, sys):
+        handed.append(list(elems))
+        return _interreduce(elems, sys)
+
+    monkeypatch.setattr(gb, "_interreduce", capture)
+    G = buchberger(gens, sys3)
+    (elems,) = handed
+    assert len(elems) == 14 and len(G) == 10
+
+    divided = []
+
+    def divide(f, G, sys):
+        divided.append(f)
+        return left_divide(f, G, sys)
+
+    monkeypatch.setattr(gb, "left_divide", divide)
+    assert tuple(_interreduce(elems, sys3)) == G.elements
+    assert len(divided) == len(elems) and set(divided) == set(elems)
 
 
 def test_ideal_member(sys2):

@@ -11,9 +11,19 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 WRAND3 = TOOLS / "wrand3.py"
 
 
-def test_wrand3_probe_at_q2():
+@pytest.mark.parametrize(
+    "q, budget, elements, max_terms, digest",
+    [
+        ("2", "4", 5, 27, "f4976f6266540784"),
+        # the cheapest probes that interreduce a partial basis of 9
+        # elements with up to 231 terms
+        ("2", "8", 9, 231, "9384d0f5b7e53b12"),
+        ("sym", "8", 9, 231, "4da61b5dcb6927de"),
+    ],
+)
+def test_wrand3_probe(q, budget, elements, max_terms, digest):
     proc = subprocess.run(
-        [sys.executable, str(WRAND3), "--q", "2", "--max-pairs", "4"],
+        [sys.executable, str(WRAND3), "--q", q, "--max-pairs", budget],
         capture_output=True,
         text=True,
         timeout=120,
@@ -21,11 +31,12 @@ def test_wrand3_probe_at_q2():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[:5] == [
-        "elements 5",
-        "stats BasisStats(pairs_considered=4, reductions_to_zero=0, chain_skips=0)",
+        f"elements {elements}",
+        f"stats BasisStats(pairs_considered={budget}, reductions_to_zero=0,"
+        " chain_skips=0)",
         "partial yes",
-        "max_terms 27",
-        "sha256 f4976f6266540784",
+        f"max_terms {max_terms}",
+        f"sha256 {digest}",
     ]
     assert len(lines) == 6 and lines[5].startswith("seconds ")
 
