@@ -4,14 +4,21 @@ A polynomial in q is a tuple of coefficients, index k holding the
 coefficient of q^k; the trailing entry is nonzero and () is the zero
 polynomial.
 
-A QRat is stored fraction-free: a pair n/d of integer polynomials with
-gcd(n, d) = 1 in Z[q], contents included, and a positive leading
-coefficient of d.  The units of Z[q] are +-1, so this form is unique:
-equality and hashing compare (n, d) directly, and arithmetic stays in the
-integers.  Results are reduced with `pgcd`, the gcd in Z[q] by the
-primitive polynomial remainder sequence (Collins 1967; Brown 1971).  A
-product cancels crosswise before it multiplies (Henrici 1956), so it never
-takes the gcd of the full product.
+A QRat is stored fraction-free and Laurent-normalized, as q^v * n/d:
+n and d are integer polynomials with nonzero constant terms (q divides
+neither), gcd(n, d) = 1 in Z[q], contents included, and d has a positive
+leading coefficient; v is an int, and zero is n = (), d = (1,), v = 0.
+The units of Z[q] are +-1, so this form is unique: equality and hashing
+compare (n, d, v) directly, and arithmetic stays in the integers.  The
+relations of M_q(n) multiply by powers of q, so most coefficients are
+Laurent monomials c*q^k: their n and d are constants, and their products
+and same-power sums take integer arithmetic only.  A product adds the
+powers and cancels n and d crosswise before it multiplies (Henrici 1956),
+so it never takes the gcd of the full product; a sum shifts the higher
+term's numerator down to the lower power.  Results are reduced with
+`pgcd`, the gcd in Z[q] by the primitive polynomial remainder sequence
+(Collins 1967; Brown 1971), or with the integer gcd when one side is a
+constant.
 
 `QRat.num` and `QRat.den` are a read-only view of the same value over the
 rationals: coefficients are int where integral and Fraction otherwise
@@ -34,7 +41,6 @@ QPoly = tuple
 
 P_ZERO: QPoly = ()
 P_ONE: QPoly = (1,)
-P_Q: QPoly = (0, 1)
 
 
 def pstrip(coeffs) -> QPoly:
@@ -84,8 +90,8 @@ def _scale_down(a: QPoly, c: int) -> QPoly:
 
 def _exact_quo(a: QPoly, b: QPoly) -> QPoly:
     """a / b in Z[q], where b divides a."""
-    if _is_q_power(b):
-        return _scale_down(a[len(b) - 1 :], b[-1])
+    if len(b) == 1:
+        return _scale_down(a, b[0])
     rem = list(a)
     lead = b[-1]
     deg = len(b) - 1
@@ -157,35 +163,15 @@ def pgcd(a: QPoly, b: QPoly) -> QPoly:
     return b if c == 1 else tuple(c * x for x in b)
 
 
-def _valuation(a: QPoly) -> int:
-    # number of leading zero coefficients; only meaningful for a != 0
-    k = 0
-    while not a[k]:
-        k += 1
-    return k
-
-
-def _is_q_power(a: QPoly) -> bool:
-    # a constant times a power of q; only meaningful for a != 0
-    return not any(a[:-1])
-
-
 def _gcd(a: QPoly, b: QPoly) -> QPoly:
     """gcd(a, b) in Z[q] for nonzero a and b, leading coefficient > 0.
 
-    The shared power of q comes off first; when either side is then a
-    constant times a power of q, the rest of the gcd is the integer gcd of
-    the contents and `pgcd` is not needed.
+    When either side is a constant, the gcd is the integer gcd of the
+    contents and `pgcd` is not needed.
     """
-    va, vb = _valuation(a), _valuation(b)
-    v = va if va < vb else vb
-    if v:
-        a, b = a[v:], b[v:]
-    if _is_q_power(a) or _is_q_power(b):
-        g = (gcd(*a, *b),)
-    else:
-        g = pgcd(a, b)
-    return (0,) * v + g if v else g
+    if len(a) == 1 or len(b) == 1:
+        return (gcd(*a, *b),)
+    return pgcd(a, b)
 
 
 def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
@@ -194,6 +180,14 @@ def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
     if g == P_ONE:
         return a, b
     return _exact_quo(a, g), _exact_quo(b, g)
+
+
+def _split(a: QPoly) -> tuple[QPoly, int]:
+    """(m, w) with a = q^w * m and m q-free; a is nonzero."""
+    w = 0
+    while not a[w]:
+        w += 1
+    return (a[w:], w) if w else (a, 0)
 
 
 def _horner(a: QPoly, u: int, w: int) -> int:
@@ -241,24 +235,31 @@ def _ratio(x: int, lead: int) -> Coef:
 
 
 class QRat:
-    """Canonical element of Q(q), stored as coprime n/d in Z[q] with lead(d) > 0.
+    """Canonical element of Q(q), stored as q^v * n/d.
 
-    `QRat(num, den)` takes int or Fraction coefficient tuples and clears
-    their denominators.  `num` and `den` read the value back over the
-    rationals, with den monic.
+    n and d are coprime in Z[q], neither is divisible by q, and
+    lead(d) > 0; zero is n = (), d = (1,), v = 0.  `QRat(num, den)` takes
+    int or Fraction coefficient tuples and clears their denominators.
+    `num` and `den` read the value back over the rationals, with den monic.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_n", "_d", "_v")
 
     def __init__(self, num, den=P_ONE):
         num = pstrip(num)
         den = pstrip(den)
         if not den:
             raise DivisionByZero("zero denominator in Q(q)")
+        if not num:
+            self._n, self._d, self._v = P_ZERO, P_ONE, 0
+            return
         scale = lcm(*(x.denominator for x in num + den))
-        num = tuple(x.numerator * (scale // x.denominator) for x in num)
-        den = tuple(x.numerator * (scale // x.denominator) for x in den)
-        self._n, self._d = _normalize(num, den)
+        num, vn = _split(tuple(x.numerator * (scale // x.denominator) for x in num))
+        den, vd = _split(tuple(x.numerator * (scale // x.denominator) for x in den))
+        num, den = _cancel(num, den)
+        if den[-1] < 0:
+            num, den = pneg(num), pneg(den)
+        self._n, self._d, self._v = num, den, vn - vd
 
     # -- constructors -------------------------------------------------
 
@@ -267,27 +268,30 @@ class QRat:
         v = Fraction(v)
         if not v:
             return ZERO
-        return _make((v.numerator,), (v.denominator,))
+        return _make((v.numerator,), (v.denominator,), 0)
 
     @staticmethod
     def q_power(k: int) -> "QRat":
         """The monomial q^k, k may be negative."""
-        if k >= 0:
-            return _make((0,) * k + (1,), P_ONE)
-        return _make(P_ONE, (0,) * (-k) + (1,))
+        return _make(P_ONE, P_ONE, k)
 
     # -- the view over the rationals ------------------------------------
 
     @property
     def num(self) -> QPoly:
+        n, v = self._n, self._v
+        if v > 0:
+            n = (0,) * v + n
         lead = self._d[-1]
         if lead == 1:
-            return self._n
-        return tuple(_ratio(x, lead) for x in self._n)
+            return n
+        return tuple(_ratio(x, lead) for x in n)
 
     @property
     def den(self) -> QPoly:
-        d = self._d
+        d, v = self._d, self._v
+        if v < 0:
+            d = (0,) * -v + d
         lead = d[-1]
         if lead == 1:
             return d
@@ -299,57 +303,70 @@ class QRat:
         return not self._n
 
     def is_one(self) -> bool:
-        return self._n == P_ONE and self._d == P_ONE
+        return self._n == P_ONE and self._d == P_ONE and not self._v
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "QRat") -> "QRat":
-        a, b = self._n, self._d
-        c, d = other._n, other._d
+        a, b, v = self._n, self._d, self._v
+        c, d, w = other._n, other._d, other._v
         if not a:
             return other
         if not c:
             return self
-        if len(a) == len(b) == len(c) == len(d) == 1:
-            return _rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0])
+        if v != w:
+            # bring both terms to the lower power of q; the sum's numerator
+            # then keeps the lower term's constant term, so stays q-free
+            if v > w:
+                a, b, v, c, d, w = c, d, w, a, b, v
+            c = (0,) * (w - v) + c
+        elif len(a) == len(b) == len(c) == len(d) == 1:
+            return _rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0], v)
         if b == d:
             n = padd(a, c)
             if not n:
                 return ZERO
-            if b == P_ONE:
-                return _make(n, P_ONE)
-            return _make(*_cancel(n, b))
-        # Henrici: with g = gcd(b, d), the sum is n / (b * d/g) for
-        # n = a * d/g + c * b/g, and only g can share a factor with n
-        g = _gcd(b, d)
-        if g == P_ONE:
-            return _make(padd(pmul(a, d), pmul(c, b)), pmul(b, d))
-        bg, dg = _exact_quo(b, g), _exact_quo(d, g)
-        n = padd(pmul(a, dg), pmul(c, bg))
-        h = _gcd(n, g)
-        if h != P_ONE:
-            n, b = _exact_quo(n, h), _exact_quo(b, h)
-        return _make(n, pmul(b, dg))
+            if b != P_ONE:
+                n, d = _cancel(n, b)
+        else:
+            # Henrici: with g = gcd(b, d), the sum is n / (b * d/g) for
+            # n = a * d/g + c * b/g, and only g can share a factor with n
+            g = _gcd(b, d)
+            if g == P_ONE:
+                n, d = padd(pmul(a, d), pmul(c, b)), pmul(b, d)
+            else:
+                bg, dg = _exact_quo(b, g), _exact_quo(d, g)
+                n = padd(pmul(a, dg), pmul(c, bg))
+                h = _gcd(n, g)
+                if h != P_ONE:
+                    n, b = _exact_quo(n, h), _exact_quo(b, h)
+                d = pmul(b, dg)
+        if not n[0]:
+            # equal powers of q whose constant terms cancelled
+            n, k = _split(n)
+            v += k
+        return _make(n, d, v)
 
     def __sub__(self, other: "QRat") -> "QRat":
         return self + (-other)
 
     def __neg__(self) -> "QRat":
-        return _make(pneg(self._n), self._d)
+        return _make(pneg(self._n), self._d, self._v)
 
     def __mul__(self, other: "QRat") -> "QRat":
         a, b = self._n, self._d
         c, d = other._n, other._d
         if not a or not c:
             return ZERO
+        v = self._v + other._v
         if len(a) == len(b) == len(c) == len(d) == 1:
-            return _rational(a[0] * c[0], b[0] * d[0])
+            return _rational(a[0] * c[0], b[0] * d[0], v)
         # a/b and c/d are reduced, so only a, d and c, b can share factors
         if d != P_ONE:
             a, d = _cancel(a, d)
         if b != P_ONE:
             c, b = _cancel(c, b)
-        return _make(pmul(a, c), pmul(b, d))
+        return _make(pmul(a, c), pmul(b, d), v)
 
     def __truediv__(self, other: "QRat") -> "QRat":
         return self * other.inv()
@@ -359,8 +376,8 @@ class QRat:
         if not n:
             raise DivisionByZero("inversion of zero in Q(q)")
         if n[-1] < 0:
-            return _make(pneg(d), pneg(n))
-        return _make(d, n)
+            return _make(pneg(d), pneg(n), -self._v)
+        return _make(d, n, -self._v)
 
     def __pow__(self, k: int) -> "QRat":
         if k < 0:
@@ -379,30 +396,34 @@ class QRat:
         if mode.is_symbolic:
             return self
         u, w = mode.value.numerator, mode.value.denominator
-        n, d = self._n, self._d
+        n, d, v = self._n, self._d, self._v
         hd = _horner(d, u, w)
         if not hd:
             raise EvaluationPole(f"denominator vanishes at q = {mode.value}")
         if not n:
             return ZERO
-        # n(v) / d(v) = hn / w^deg(n) * w^deg(d) / hd
+        # (u/w)^v * n(u/w) / d(u/w) = u^v * hn * w^(deg(d) - deg(n) - v) / hd
         hn = _horner(n, u, w)
-        shift = len(d) - len(n)
+        if v > 0:
+            hn *= u**v
+        elif v < 0:
+            hd *= u**-v
+        shift = len(d) - len(n) - v
         if shift > 0:
             hn *= w**shift
         elif shift < 0:
             hd *= w**-shift
-        return _rational(hn, hd)
+        return _rational(hn, hd, 0)
 
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, QRat):
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return self._n == other._n and self._d == other._d and self._v == other._v
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        return hash((self._n, self._d, self._v))
 
     def sign(self) -> int:
         """Sign of the leading numerator coefficient (lead(d) > 0)."""
@@ -422,35 +443,28 @@ class QRat:
 _new = object.__new__
 
 
-def _make(n: QPoly, d: QPoly) -> QRat:
-    """A QRat from a pair already in canonical form."""
+def _make(n: QPoly, d: QPoly, v: int) -> QRat:
+    """A QRat from parts already in canonical form."""
     r = _new(QRat)
     r._n = n
     r._d = d
+    r._v = v
     return r
 
 
-def _rational(n: int, d: int) -> QRat:
-    """The constant n/d, d nonzero."""
+def _rational(n: int, d: int, v: int) -> QRat:
+    """q^v * n/d for integers n and d, d nonzero."""
     if not n:
         return ZERO
+    if d == 1:
+        return _make((n,), P_ONE, v)
     g = gcd(n, d)
     if d < 0:
         g = -g
-    return _make((n // g,), (d // g,))
+    return _make((n // g,), (d // g,), v)
 
 
-def _normalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """Reduce integer num/den to the canonical pair. den is nonzero."""
-    if not num:
-        return P_ZERO, P_ONE
-    num, den = _cancel(num, den)
-    if den[-1] < 0:
-        return pneg(num), pneg(den)
-    return num, den
-
-
-ZERO = _make(P_ZERO, P_ONE)
-ONE = _make(P_ONE, P_ONE)
-Q = _make(P_Q, P_ONE)
-Q_INV = _make(P_ONE, P_Q)
+ZERO = _make(P_ZERO, P_ONE, 0)
+ONE = _make(P_ONE, P_ONE, 0)
+Q = _make(P_ONE, P_ONE, 1)
+Q_INV = _make(P_ONE, P_ONE, -1)

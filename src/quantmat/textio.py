@@ -58,9 +58,10 @@ def _fmt_qpoly(p: tuple) -> tuple[str, int]:
 def _qrat_core(a: QRat) -> tuple[str, bool]:
     """Positive-sign rendering; the flag says parens are needed before '*'."""
     num_s, num_terms = _fmt_qpoly(a.num)
-    if a.den == P_ONE:
+    den = a.den
+    if den == P_ONE:
         return num_s, num_terms > 1
-    den_s, den_terms = _fmt_qpoly(a.den)
+    den_s, den_terms = _fmt_qpoly(den)
     nm = f"({num_s})" if num_terms > 1 else num_s
     dn = f"({den_s})" if den_terms > 1 else den_s
     return f"{nm}/{dn}", False
@@ -326,7 +327,11 @@ def eval_expr(node: ExprNode, sys: CommutationSystem) -> Polynomial:
 
 def parse_poly(text: str, sys: CommutationSystem) -> Polynomial:
     """Parse and straighten an expression into canonical form."""
-    return eval_expr(parse_expr(text), sys)
+    try:
+        return eval_expr(parse_expr(text), sys)
+    except RecursionError:
+        # the parser and the evaluator recurse once per level of nesting
+        raise ParseError("expression nests too deeply", 0) from None
 
 
 # -- ideal files ----------------------------------------------------------
@@ -395,7 +400,11 @@ def _check_integer(name: str, value) -> int:
 
 def load_ideal(path) -> IdealFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return IdealFile.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InvalidSpec("ideal file JSON nests too deeply") from None
+    return IdealFile.from_json_dict(data)
 
 
 def save_ideal(ideal: IdealFile, path) -> None:

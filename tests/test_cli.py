@@ -149,6 +149,13 @@ def test_parse_error_exits_2(capsys):
     assert "position 8" in err
 
 
+def test_deeply_nested_expression_exits_2(capsys):
+    text = "(" * 400 + "z[1,1]" + ")" * 400
+    code, out, err = run(capsys, "nf", "--n", "2", text)
+    assert (code, out) == (2, "")
+    assert err == "error: expression nests too deeply (at position 0)\n"
+
+
 def test_bad_generator_exits_2(capsys):
     code, _, err = run(capsys, "nf", "--n", "2", "z[1,3]")
     assert code == 2
@@ -297,6 +304,13 @@ def test_malformed_ideal_file_exits_2(tmp_path, capsys, data, message):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "gb", "--file", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_deeply_nested_ideal_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "gb", "--file", str(path))
+    assert (code, out, err) == (2, "", "error: ideal file JSON nests too deeply\n")
 
 
 def test_pair_limit_exits_3(capsys):

@@ -206,6 +206,31 @@ def test_arithmetic_results_stay_reduced():
             assert c.den[-1] == 1
 
 
+def _assert_laurent_form(c):
+    n, d, v = c._n, c._d, c._v
+    if not n:
+        assert (n, d, v) == ((), P_ONE, 0)
+        return
+    assert n[0] and d[0]  # q divides neither part
+    assert n[-1] and d[-1] > 0
+    assert pgcd(n, d) == P_ONE
+
+
+def test_laurent_form_is_canonical():
+    rng = random.Random(4)
+    for _ in range(200):
+        a = _rand_qrat(rng, allow_zero=True) * QRat.q_power(rng.randint(-4, 4))
+        b = _rand_qrat(rng) * QRat.q_power(rng.randint(-4, 4))
+        for c in (a, b, a + b, a - b, a * b, a / b, b.inv(), a + b * Q, a - a):
+            _assert_laurent_form(c)
+    assert (ONE + Q) - ONE == Q
+    assert format_qrat(Q + Q_INV) == "(q^2 + 1)/q"
+    assert QRat((0, -1, 1), (0, 0, 0, 1)) == QRat((-1, 1), (0, 0, 1))
+    for k in range(-5, 6):
+        assert QRat.q_power(k) * QRat.q_power(-k) == ONE
+    assert Q.inv() == Q_INV
+
+
 def test_int_and_fraction_coefficients_mix():
     a = QRat((Fraction(1, 2),))
     b = QRat((1,), (2,))
@@ -231,7 +256,19 @@ _POLY = st.lists(_COEF, max_size=4).map(tuple)
 _NONZERO = st.lists(_COEF, min_size=1, max_size=4).map(
     lambda cs: (*cs[:-1], cs[-1] or 1)
 )
-_RAW = st.tuples(_POLY, _NONZERO)
+
+
+def _times_q_power(raw, k):
+    # q^k * num/den, as the tuples the constructor and the reference read
+    num, den = raw
+    if k >= 0:
+        return (0,) * k + num, den
+    return num, (0,) * -k + den
+
+
+# the shifts reach sums of unequal powers of q, and sums of equal powers
+# whose constant terms cancel
+_RAW = st.builds(_times_q_power, st.tuples(_POLY, _NONZERO), st.integers(-4, 4))
 _POINTS = (Fraction(2), Fraction(-1, 2), Fraction(1), Fraction(3))
 
 
