@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EmptyBasis, InvalidSpec, PairLimitExceeded
-from .pbw import Monomial, Polynomial, Term, mono_divides, mono_lcm, mono_sub
+from .pbw import Monomial, Polynomial, Term, _support_mask, mono_lcm, mono_sub
 from .qfield import QRat
 from .straighten import CommutationSystem, scalar_mul
 
@@ -80,12 +80,16 @@ def left_divide(
     monomial and subtracts the scaled tail of the lifted divisor into the
     dict; nothing is re-sorted.  A monomial that cancels to zero leaves
     its heap entry behind, and the pop skips it.
+
+    Each divisor's LM support, a generator bitmask and its (index,
+    exponent) pairs, is cached on the divisor, so repeated divisions by
+    the same basis do not rebuild it.  A step computes the popped
+    monomial's mask once, skips every divisor whose mask has a bit the
+    monomial lacks, and compares exponents only for the rest.
     """
     _check_divisors(G)
     ngens = f.ngens
-    lms = [g.lm() for g in G]
-    # each LM as its (index, exponent) pairs: divisibility reads only those
-    supports = [[(i, e) for i, e in enumerate(lm.exps) if e] for lm in lms]
+    supports = [g._lm_support() for g in G]
     quot_terms: list[list[Term]] = [[] for _ in G]
     rem_terms: list[Term] = []
     acc: dict[Monomial, QRat] = {}
@@ -100,26 +104,28 @@ def left_divide(
         if c is None:
             continue  # cancelled after it was queued
         exps = m.exps
-        for k, support in enumerate(supports):
-            if all(exps[i] >= e for i, e in support):
-                delta = Monomial([x - y for x, y in zip(exps, lms[k].exps)])
-                h = _lift(G[k], delta, sys)
-                coef = c / h.lc()
-                neg = -coef
-                for ch, mh in h.terms[1:]:
-                    prev = acc.get(mh)
-                    if prev is None:
-                        acc[mh] = neg * ch
-                        heapq.heappush(heap, (_heap_key(mh), mh))
-                        continue
-                    s = prev + neg * ch
-                    if s.is_zero():
-                        del acc[mh]
-                    else:
-                        acc[mh] = s
-                # deltas decrease strictly with m, so the list stays sorted
-                quot_terms[k].append(Term(coef, delta))
-                break
+        absent = ~_support_mask(exps)
+        for k, (mask, pairs) in enumerate(supports):
+            if mask & absent or any(exps[i] < e for i, e in pairs):
+                continue
+            delta = Monomial([x - y for x, y in zip(exps, G[k].lm().exps)])
+            h = _lift(G[k], delta, sys)
+            coef = c / h.lc()
+            neg = -coef
+            for ch, mh in h.terms[1:]:
+                prev = acc.get(mh)
+                if prev is None:
+                    acc[mh] = neg * ch
+                    heapq.heappush(heap, (_heap_key(mh), mh))
+                    continue
+                s = prev + neg * ch
+                if s.is_zero():
+                    del acc[mh]
+                else:
+                    acc[mh] = s
+            # deltas decrease strictly with m, so the list stays sorted
+            quot_terms[k].append(Term(coef, delta))
+            break
         else:
             rem_terms.append(Term(c, m))
     quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
@@ -242,9 +248,16 @@ def _chain_redundant(
 
     The product criterion (coprime leading monomials) rests on
     commutativity and does not hold in M_q(n), so it is not used.
+
+    LM(k) | gamma is tested on the cached LM support, as in division.
     """
+    exps = gamma.exps
+    absent = ~_support_mask(exps)
     for k, g in enumerate(elems):
-        if k == i or k == j or not mono_divides(g.lm(), gamma):
+        if k == i or k == j:
+            continue
+        mask, pairs = g._lm_support()
+        if mask & absent or any(exps[x] < e for x, e in pairs):
             continue
         ik = (i, k) if i < k else (k, i)
         jk = (j, k) if j < k else (k, j)

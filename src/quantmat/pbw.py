@@ -10,6 +10,7 @@ independent word-form comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
@@ -122,6 +123,18 @@ def compare_monomials(a: Monomial, b: Monomial) -> int:
     return GREATER if a._rev > b._rev else LESS
 
 
+# bit i of a support mask stands for generator i; compress keeps the bits
+# of the nonzero exponents.  Generators past the last bit are left out of
+# the mask, which then only tests the others: a mask is a quick necessary
+# condition for divisibility, and the exponents decide.
+_BITS = tuple(1 << i for i in range(64))
+
+
+def _support_mask(exps: Sequence[int]) -> int:
+    """Bit i set for every generator index i < 64 with a nonzero exponent."""
+    return sum(compress(_BITS, exps))
+
+
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     _check_same_ngens(a, b)
     return all(x <= y for x, y in zip(a.exps, b.exps))
@@ -150,9 +163,17 @@ class Term(NamedTuple):
 
 
 class Polynomial:
-    """Canonical finite sum of terms, strictly descending under PaperLex."""
+    """Canonical finite sum of terms, strictly descending under PaperLex.
 
-    __slots__ = ("terms", "ngens")
+    A polynomial never changes, so two values derived from it are computed
+    on first use and kept in slots: its hash, which keys the product memo
+    of ``CommutationSystem.mono_mul``, and the support of its LM (see
+    ``_lm_support``), which division and the chain criterion test
+    divisibility by.  Filling a slot twice stores the same value, so
+    polynomials can still be shared across threads.
+    """
+
+    __slots__ = ("terms", "ngens", "_hash", "_support")
 
     def __init__(self, terms: tuple[Term, ...], ngens: int):
         # trusted constructor: terms must already be canonical
@@ -223,7 +244,28 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.ngens, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.ngens, self.terms))
+            return h
+
+    def _lm_support(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """LM(self) as its generator bitmask and its (index, exponent) pairs.
+
+        LM(self) divides a monomial m exactly when the mask has no bit
+        that ``_support_mask(m.exps)`` lacks and every pair's exponent is at
+        most m's; the mask rejects most non-divisors in one integer test.
+        """
+        try:
+            return self._support
+        except AttributeError:
+            exps = self.terms[0].mono.exps
+            s = self._support = (
+                _support_mask(exps),
+                tuple((i, e) for i, e in enumerate(exps) if e),
+            )
+            return s
 
     def __repr__(self):
         if not self.terms:

@@ -15,11 +15,20 @@ other letter times a basis word comes from a memoized table lookup.  In
 M_q(n) most pairs swap with a power of q and no tail, so a memo miss moves
 the letter past all such letters of the word in one pass and recurses
 only at the first letter whose relation has a tail.
+
+Completion lifts the same element by the same monomial many times (an
+S-pair and a later division step, or two divisions), so each system also
+memoizes whole products u*g, keyed by g's value and u's exponents.  The
+memo stores the product the fold returned, so a hit returns exactly what
+a fold would.  It holds at most ``_PRODUCT_MEMO_TERMS`` terms, keys and
+products counted together, and is emptied when the next product would
+pass that bound.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,13 +49,23 @@ from .qfield import ONE, QMode, QRat, SYMBOLIC
 
 DEFAULT_MAX_DEGREE = 64
 
+# Terms the product memo of one system may hold, counting the terms of each
+# key polynomial g and of its product u*g.  A term (a tuple, a Monomial and
+# a QRat) took 300-420 bytes on the gb_sym benchmark ideals of M_q(3), so the
+# bound allows about 30 MB per system, plus what larger coefficients add.
+_PRODUCT_MEMO_TERMS = 1 << 16
+
 
 class CommutationSystem:
     """Immutable multiplication table z_small*z_big = lam*(z_big z_small) + f.
 
     ``table`` maps (big, small) linear-index pairs (big > small) to
     (lam, f) with f a canonical polynomial.  Products are memoized per
-    system; lru_cache keeps concurrent multiplication safe.
+    system at two levels: letter times basis word (an lru_cache of at most
+    65,536 entries, which ``cache_info`` reports) and monomial times
+    polynomial (bounded by ``_PRODUCT_MEMO_TERMS`` terms).  Neither memo
+    holds a strong reference to its system, and both are safe under
+    concurrent multiplication.
     """
 
     def __init__(
@@ -77,6 +96,10 @@ class CommutationSystem:
             return ref()._gen_mul_mono_impl(g, mono)
 
         self._gen_mul_mono = lru_cache(maxsize=1 << 16)(gen_mul_mono)
+        # (g, u.exps) -> u*g; the lock guards the stores and the term count
+        self._products: dict[tuple[Polynomial, tuple[int, ...]], Polynomial] = {}
+        self._product_terms = 0
+        self._products_lock = threading.Lock()
         if validate:
             report = validate_solvability(self)
             if not report.ok:
@@ -160,7 +183,9 @@ class CommutationSystem:
         and ``poly_mul`` sums it over the terms of its left factor.  A
         letter at or above the top letter of a term only raises that
         term's exponent; the other terms go through the memoized
-        letter-times-word table.
+        letter-times-word table.  The degree guard is checked first; a
+        unit u returns g itself, and any other product is looked up in
+        the system's product memo before it is folded, and stored after.
         """
         if u.ngens != self.ngens or g.ngens != self.ngens:
             raise DimensionMismatch(
@@ -170,6 +195,16 @@ class CommutationSystem:
         if g.is_zero():
             return g
         self.check_degree(u.degree + g.degree())
+        if not u.degree:
+            return g
+        key = (g, u.exps)
+        product = self._products.get(key)
+        if product is None:
+            product = self._fold(u, g)
+            self._store_product(key, product)
+        return product
+
+    def _fold(self, u: Monomial, g: Polynomial) -> Polynomial:
         # fold u's letters over all of g, lowest first: u*g = z_1(z_2(...(z_r*g)))
         for letter, e in enumerate(u.exps):
             above = letter + 1
@@ -186,6 +221,21 @@ class CommutationSystem:
                     acc[key] = c if prev is None else prev + c
                 g = poly_from_dict(acc, self.ngens)
         return g
+
+    def _store_product(
+        self, key: tuple[Polynomial, tuple[int, ...]], product: Polynomial
+    ) -> None:
+        """Remember u*g, emptying the memo first if it would pass its bound."""
+        size = len(key[0].terms) + len(product.terms)
+        if size > _PRODUCT_MEMO_TERMS:
+            return
+        with self._products_lock:
+            if self._product_terms + size > _PRODUCT_MEMO_TERMS:
+                self._products.clear()
+                self._product_terms = 0
+            # another thread may have stored the same product meanwhile
+            if self._products.setdefault(key, product) is product:
+                self._product_terms += size
 
     def poly_mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.ngens != self.ngens or g.ngens != self.ngens:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InvalidSpec, NegativeGeneratorPower, ParseError
 from .pbw import Monomial, Polynomial, gen_index
-from .qfield import P_ONE, QMode, QRat, ZERO
+from .qfield import QMode, QRat, ZERO
 from .straighten import CommutationSystem, scalar_mul
 
 SCHEMA_VERSION = 1
@@ -32,8 +32,13 @@ SCHEMA_VERSION = 1
 # -- coefficient formatting ----------------------------------------------
 
 
-def _fmt_qpoly(p: tuple) -> tuple[str, int]:
-    """Render a q-polynomial, highest power first; returns (text, #terms)."""
+def _fmt_qpoly(p: tuple, shift: int, lead: int) -> tuple[str, int]:
+    """Render q^shift * p / lead, highest power first; returns (text, #terms).
+
+    p holds integers; a coefficient that lead does not divide prints as a
+    reduced fraction.  The shift is added to the printed exponents, so
+    q^k is never padded out to a tuple of length k.
+    """
     pieces = []
     for k in range(len(p) - 1, -1, -1):
         c = p[k]
@@ -41,6 +46,10 @@ def _fmt_qpoly(p: tuple) -> tuple[str, int]:
             continue
         neg = c < 0
         a = -c if neg else c
+        if lead != 1:
+            quo, rem = divmod(a, lead)
+            a = Fraction(a, lead) if rem else quo
+        k += shift
         if k == 0:
             body = str(a)
         else:
@@ -56,12 +65,18 @@ def _fmt_qpoly(p: tuple) -> tuple[str, int]:
 
 
 def _qrat_core(a: QRat) -> tuple[str, bool]:
-    """Positive-sign rendering; the flag says parens are needed before '*'."""
-    num_s, num_terms = _fmt_qpoly(a.num)
-    den = a.den
-    if den == P_ONE:
+    """Positive-sign rendering; the flag says parens are needed before '*'.
+
+    Renders the stored q^v * n/d as num/den over the rationals, with den
+    monic and the power of q on whichever side keeps both polynomials:
+    the text of ``a.num`` and ``a.den`` without building their padding.
+    """
+    n, d, v = a._n, a._d, a._v
+    lead = d[-1]
+    num_s, num_terms = _fmt_qpoly(n, max(v, 0), lead)
+    if len(d) == 1 and v >= 0:
         return num_s, num_terms > 1
-    den_s, den_terms = _fmt_qpoly(den)
+    den_s, den_terms = _fmt_qpoly(d, max(-v, 0), lead)
     nm = f"({num_s})" if num_terms > 1 else num_s
     dn = f"({den_s})" if den_terms > 1 else den_s
     return f"{nm}/{dn}", False

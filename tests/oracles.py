@@ -155,6 +155,12 @@ def render_rat(x) -> str:
     return f"{sign}{num_s}/{den_s}"
 
 
+def view_format_qrat(c: QRat) -> str:
+    """textio.format_qrat as it was before it printed from the stored parts:
+    render the padded num/den view, whose length grows with the power of q."""
+    return render_rat((c.num, c.den))
+
+
 # -- canonical form of raw terms, and the commutator ---------------------
 
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
@@ -23,6 +24,7 @@ from quantmat.groebner import (
 )
 from quantmat.pbw import Monomial, Polynomial, Term
 from quantmat.qfield import ONE, Q, QMode, QRat
+from quantmat import straighten
 from quantmat.straighten import quantum_plane, scalar_mul, weyl_algebra
 
 from oracles import (
@@ -38,6 +40,7 @@ from oracles import (
 from test_straighten import _mq3, _poly3
 
 QVALUES = (Fraction(2), Fraction(3), Fraction(1, 2))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _gp(sys, g):
@@ -535,3 +538,56 @@ def test_lm_of_basis_divides_members(sys2):
             all(x <= y for x, y in zip(g.lm().exps, member.lm().exps))
             for g in G
         )
+
+
+def _c06_ideals() -> list[list[Polynomial]]:
+    # the generator sets of test_c06_groebner_correctness, drawn from the
+    # same seed in the same order; the other draws of that test are skipped
+    rng = random.Random(103)
+    ideals = []
+    for _ in range(50):
+        gens = [
+            rand_poly(rng, 4, max_degree=2, max_terms=2)
+            for _ in range(rng.randint(1, 2))
+        ]
+        for _ in gens:
+            rand_poly(rng, 4, max_degree=2, max_terms=2, allow_zero=True)
+        for _ in range(3):
+            rand_poly(rng, 4, max_degree=2, max_terms=2)
+        ideals.append(gens)
+    return ideals
+
+
+def _gb_sym_seed_1() -> list[tuple[list[str], int]]:
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import SYM_BUDGET, gb_instances
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [(list(i.gens), i.max_pairs) for i in gb_instances(1, SYM_BUDGET)]
+
+
+def _rendered_basis(gens, system, max_pairs=gb.DEFAULT_MAX_PAIRS) -> str:
+    gens = [parse_poly(g, system) if isinstance(g, str) else g for g in gens]
+    try:
+        basis, flag = buchberger(gens, system, max_pairs=max_pairs), "complete"
+    except PairLimitExceeded as exc:
+        basis, flag = exc.partial, "partial"
+    return "\n".join([flag] + [format_poly(g, system.gen_names) for g in basis])
+
+
+@pytest.mark.parametrize("bound", [None, 200])
+def test_reused_system_matches_fresh_systems(bound, monkeypatch):
+    # one system completes every ideal in turn, so its memos carry entries
+    # from earlier ideals into later ones; a stale entry would show as a
+    # basis that differs from the one a fresh system computes.  A small
+    # bound also empties the product memo in the middle of completions.
+    jobs = [(3, gens, budget) for gens, budget in _gb_sym_seed_1()]
+    jobs += [(2, gens, gb.DEFAULT_MAX_PAIRS) for gens in _c06_ideals()]
+    fresh = [_rendered_basis(g, build_mq(MqSpec(n)), b) for n, g, b in jobs]
+    if bound is not None:
+        monkeypatch.setattr(straighten, "_PRODUCT_MEMO_TERMS", bound)
+    shared = {2: build_mq(MqSpec(2)), 3: build_mq(MqSpec(3))}
+    reused = [_rendered_basis(g, shared[n], b) for n, g, b in jobs]
+    assert reused == fresh
+    assert sum(text.startswith("partial") for text in fresh) == 6

@@ -2,9 +2,11 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantmat.errors import (
     IndexOutOfRange,
@@ -31,7 +33,7 @@ from quantmat.textio import (
     save_ideal,
 )
 
-from oracles import rand_poly
+from oracles import rand_poly, view_format_qrat
 
 
 def test_parse_products_straighten(sys2):
@@ -133,6 +135,39 @@ def test_format_qrat_frozen():
     assert format_qrat((Q + ONE) / (Q * Q - ONE)) == "1/(q - 1)"
     assert format_qrat(QRat((2, 2))) == "2*q + 2"
     assert str(-Q.inv()) == "-1/q"
+
+
+_COEF = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(2, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.lists(_COEF, max_size=4),
+    den=st.lists(_COEF, min_size=1, max_size=4).filter(any),
+    k=st.integers(-60, 60),
+)
+def test_format_qrat_matches_view_renderer(num, den, k):
+    # printing from the stored q^v*n/d gives the text of the padded view
+    c = QRat(num, den) * QRat.q_power(k)
+    assert format_qrat(c) == view_format_qrat(c)
+    assert format_qrat(-c) == view_format_qrat(-c)
+
+
+@pytest.mark.parametrize("k, text", [(10**6, "q^1000000"), (-(10**6), "1/q^1000000")])
+def test_format_large_q_power_in_small_memory(k, text):
+    # the view of q^(10^6) is a million-entry tuple, about 8 MB
+    c = QRat.q_power(k)
+    tracemalloc.start()
+    try:
+        out = format_qrat(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == text
+    assert peak < 1_000_000
 
 
 def test_roundtrip_sampled(sys2, sys3):

@@ -85,8 +85,19 @@ def test_abround_probe_against_this_checkout():
     ]
     assert lines[3].startswith("median head/base ")
     assert lines[4].startswith("head won ") and lines[4].endswith(" rounds")
-    assert len(lines) == 5
-
+    # then one line per instance, in instance order: each side's median
+    # time, e.g. "instance minors base 7.05 ms head 6.32 ms head/base 0.896"
+    words = [line.split() for line in lines[5:]]
+    assert [w[1] for w in words] == [
+        "minors", "quad", "sum", "trace", "lin2", "trace_lin", "trace2",
+        "w3", "s5", "s6", "s9", "s17", "s20",
+    ]
+    for w in words:
+        assert len(w) == 10
+        assert [w[k] for k in (0, 2, 4, 5, 7, 8)] == [
+            "instance", "base", "ms", "head", "ms", "head/base"
+        ]
+        assert float(w[3]) >= 0 and float(w[6]) >= 0
 
 def test_abround_probe_exits_1_when_outputs_differ(tmp_path):
     engine = tmp_path / "src" / "quantmat"

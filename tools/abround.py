@@ -10,10 +10,14 @@ instances of `gb_instances` in perfbench/workloads.py for the seed, and
 runs `mq gb` on every instance through each package's library, as
 `gb_op` does.  It exits 1 if the two sides render a different basis or
 partial flag for any instance.  Then it alternates whole rounds, base
-and head in turn, each timed by process CPU time, until S seconds have
-passed (at least one pair of rounds).  It prints each side's median
-round, the median of the per-pair head/base ratios, and how many pairs
-the head won.  It supplements perfbench/run.py; it does not replace it.
+and head in turn, until S seconds have passed (at least one pair of
+rounds); every instance in a round is timed by process CPU time, and a
+round's time is their sum.  It prints each side's median round, the
+median of the per-pair head/base ratios, and how many pairs the head
+won; then, one line per instance, each side's median time for that
+instance and their ratio, so a change in the tail can be traced to the
+instances that set it.  It supplements perfbench/run.py; it does not
+replace it.
 """
 
 from __future__ import annotations
@@ -46,28 +50,29 @@ def load_package(name: str, src: Path):
     return pkg
 
 
-def gb_outputs(pkg, instances) -> list[str]:
-    """`mq gb` at symbolic q on every instance: partial flag and basis text."""
-    out = []
-    for inst in instances:
-        system = pkg.build_mq(pkg.MqSpec(3, pkg.SYMBOLIC))
-        gens = [pkg.parse_poly(t, system) for t in inst.gens]
-        try:
-            basis = pkg.buchberger(gens, system, max_pairs=inst.max_pairs)
-            partial = "no"
-        except pkg.PairLimitExceeded as exc:
-            basis = exc.partial
-            partial = "yes"
-        text = "\n".join(pkg.format_poly(g, system.gen_names) for g in basis.elements)
-        out.append(f"partial {partial}\n{text}")
-    return out
+def gb_output(pkg, inst) -> str:
+    """`mq gb` at symbolic q on one instance: partial flag and basis text."""
+    system = pkg.build_mq(pkg.MqSpec(3, pkg.SYMBOLIC))
+    gens = [pkg.parse_poly(t, system) for t in inst.gens]
+    try:
+        basis = pkg.buchberger(gens, system, max_pairs=inst.max_pairs)
+        partial = "no"
+    except pkg.PairLimitExceeded as exc:
+        basis = exc.partial
+        partial = "yes"
+    text = "\n".join(pkg.format_poly(g, system.gen_names) for g in basis.elements)
+    return f"partial {partial}\n{text}"
 
 
-def timed_round(pkg, instances) -> float:
+def timed_round(pkg, instances) -> list[float]:
+    """Process CPU seconds of each instance, in one round over all of them."""
     gc.collect()
-    start = time.process_time()
-    gb_outputs(pkg, instances)
-    return time.process_time() - start
+    times = []
+    for inst in instances:
+        start = time.process_time()
+        gb_output(pkg, inst)
+        times.append(time.process_time() - start)
+    return times
 
 
 def main(argv=None) -> int:
@@ -84,32 +89,41 @@ def main(argv=None) -> int:
     head = load_package("quantmat_head", ROOT / "src" / "quantmat")
     instances = gb_instances(args.seed, SYM_BUDGET)
 
-    base_out = gb_outputs(base, instances)
-    head_out = gb_outputs(head, instances)
-    for inst, a, b in zip(instances, base_out, head_out):
-        if a != b:
+    for inst in instances:
+        if gb_output(base, inst) != gb_output(head, inst):
             print(f"outputs differ on instance {inst.label}")
             return 1
     print(f"seed {args.seed}: {len(instances)} instances, outputs identical")
 
-    base_t: list[float] = []
-    head_t: list[float] = []
+    # per round, the CPU seconds of each instance
+    base_r: list[list[float]] = []
+    head_r: list[list[float]] = []
     deadline = time.perf_counter() + args.seconds
-    while not base_t or time.perf_counter() < deadline:
+    while not base_r or time.perf_counter() < deadline:
         # swap the order every pair so neither side always runs first
-        if len(base_t) % 2:
-            head_t.append(timed_round(head, instances))
-            base_t.append(timed_round(base, instances))
+        if len(base_r) % 2:
+            head_r.append(timed_round(head, instances))
+            base_r.append(timed_round(base, instances))
         else:
-            base_t.append(timed_round(base, instances))
-            head_t.append(timed_round(head, instances))
+            base_r.append(timed_round(base, instances))
+            head_r.append(timed_round(head, instances))
 
+    base_t = [sum(r) for r in base_r]
+    head_t = [sum(r) for r in head_r]
     ratios = [h / b for b, h in zip(base_t, head_t)]
     wins = sum(h < b for b, h in zip(base_t, head_t))
     print(f"base median round {1000 * statistics.median(base_t):.1f} ms")
     print(f"head median round {1000 * statistics.median(head_t):.1f} ms")
     print(f"median head/base {statistics.median(ratios):.3f}")
     print(f"head won {wins} of {len(ratios)} rounds")
+    for k, inst in enumerate(instances):
+        b = statistics.median(r[k] for r in base_r)
+        h = statistics.median(r[k] for r in head_r)
+        ratio = f"{h / b:.3f}" if b else "n/a"
+        print(
+            f"instance {inst.label} base {1000 * b:.2f} ms"
+            f" head {1000 * h:.2f} ms head/base {ratio}"
+        )
     return 0
 
 
