@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EmptyBasis, InvalidSpec, PairLimitExceeded
-from .pbw import Monomial, Polynomial, Term, _support_mask, mono_lcm, mono_sub
+from .pbw import (
+    Monomial,
+    Polynomial,
+    Term,
+    _new_tuple,
+    _support_mask,
+    mono_lcm,
+    mono_sub,
+)
 from .qfield import QRat
 from .straighten import CommutationSystem, scalar_mul
 
@@ -103,14 +111,14 @@ def left_divide(
         c = acc.pop(m, None)
         if c is None:
             continue  # cancelled after it was queued
-        exps = m.exps
-        absent = ~_support_mask(exps)
+        absent = ~_support_mask(m)
         for k, (mask, pairs) in enumerate(supports):
-            if mask & absent or any(exps[i] < e for i, e in pairs):
+            if mask & absent or any(m[i] < e for i, e in pairs):
                 continue
-            delta = Monomial([x - y for x, y in zip(exps, G[k].lm().exps)])
+            delta = Monomial([x - y for x, y in zip(m, G[k].lm())])
             h = _lift(G[k], delta, sys)
-            coef = c / h.lc()
+            lc = h.lc()
+            coef = c if lc.is_one() else c / lc
             neg = -coef
             for ch, mh in h.terms[1:]:
                 prev = acc.get(mh)
@@ -124,10 +132,10 @@ def left_divide(
                 else:
                     acc[mh] = s
             # deltas decrease strictly with m, so the list stays sorted
-            quot_terms[k].append(Term(coef, delta))
+            quot_terms[k].append(_new_tuple(Term, (coef, delta)))
             break
         else:
-            rem_terms.append(Term(c, m))
+            rem_terms.append(_new_tuple(Term, (c, m)))
     quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
     return quotients, Polynomial(tuple(rem_terms), ngens)
 
@@ -136,7 +144,7 @@ def _heap_key(m: Monomial) -> tuple[int, ...]:
     # heapq pops the smallest item; negated PaperLex keys pop the largest
     # monomial first.  Equal keys mean equal monomials, so a tie compares
     # them by == and never by <.
-    return tuple([-x for x in m.sort_key()])
+    return tuple([-x for x in m[::-1]])
 
 
 def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polynomial:
@@ -251,13 +259,12 @@ def _chain_redundant(
 
     LM(k) | gamma is tested on the cached LM support, as in division.
     """
-    exps = gamma.exps
-    absent = ~_support_mask(exps)
+    absent = ~_support_mask(gamma)
     for k, g in enumerate(elems):
         if k == i or k == j:
             continue
         mask, pairs = g._lm_support()
-        if mask & absent or any(exps[x] < e for x, e in pairs):
+        if mask & absent or any(gamma[x] < e for x, e in pairs):
             continue
         ik = (i, k) if i < k else (k, i)
         jk = (j, k) if j < k else (k, j)

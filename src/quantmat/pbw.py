@@ -5,16 +5,23 @@ word with generators written in strictly decreasing order.  The normative
 comparison (PaperLex, the only ordering the engine uses) scans exponents
 from the highest generator index down; the tests prove it against an
 independent word-form comparison.
+
+The data is plain: a ``Monomial`` is a tuple of exponents, a ``Term`` a
+(coefficient, monomial) pair, and a ``Polynomial`` a tuple of terms in
+descending PaperLex order.  The hot paths of the engine merge terms in a
+dict keyed by monomial and sort once, by the reversed exponents, when
+they build a polynomial (``poly_from_dict``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .qfield import QRat
+from .qfield import ONE, QRat
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -45,16 +52,19 @@ def gen_row_col(linear: int, n: int) -> tuple[int, int]:
     return linear // n + 1, linear % n + 1
 
 
-class Monomial:
-    """Exponent vector; denotes the descending PBW word it encodes."""
+class Monomial(tuple):
+    """Exponent vector; denotes the descending PBW word it encodes.
 
-    __slots__ = ("exps", "degree", "_rev")
+    A monomial is the tuple of its exponents in generator order, and hot
+    code indexes it directly.  Hashing and ``==`` are tuple's, so a
+    Monomial equals, and hashes as, the plain tuple of its exponents, and
+    dict and heap lookups run no Python code.  So is ``<``: tuple order is
+    lexicographic from the lowest generator and is not PaperLex, which
+    ``sort_key`` and ``compare_monomials`` give.  ``exps`` is the monomial
+    itself; ``str`` prints it as the plain tuple, ``repr`` tags it.
+    """
 
-    def __init__(self, exps: Sequence[int]):
-        exps = tuple(exps)
-        self.exps = exps
-        self.degree = sum(exps)
-        self._rev = exps[::-1]
+    __slots__ = ()
 
     @staticmethod
     def unit(ngens: int) -> "Monomial":
@@ -67,48 +77,50 @@ class Monomial:
         return Monomial(exps)
 
     @property
+    def exps(self) -> "Monomial":
+        return self
+
+    @property
+    def degree(self) -> int:
+        return sum(self)
+
+    @property
     def ngens(self) -> int:
-        return len(self.exps)
+        return len(self)
 
     def is_unit(self) -> bool:
-        return self.degree == 0
+        return not any(self)
 
     def word(self) -> tuple[int, ...]:
         """Generator indices of the descending word, highest first."""
         out = []
-        for g in range(len(self.exps) - 1, -1, -1):
-            out.extend([g] * self.exps[g])
+        for g in range(len(self) - 1, -1, -1):
+            out.extend([g] * self[g])
         return tuple(out)
 
     def top(self) -> int:
         """Largest generator index with nonzero exponent; -1 for the unit."""
-        for g in range(len(self.exps) - 1, -1, -1):
-            if self.exps[g]:
+        for g in range(len(self) - 1, -1, -1):
+            if self[g]:
                 return g
         return -1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(g for g, e in enumerate(self.exps) if e)
+        return tuple(g for g, e in enumerate(self) if e)
 
     def sort_key(self) -> tuple[int, ...]:
         # reversed exponents make Python tuple order coincide with PaperLex
-        return self._rev
+        return self[::-1]
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
+    __str__ = tuple.__repr__
 
     def __repr__(self):
-        return f"Monomial{self.exps}"
+        return f"Monomial{tuple.__repr__(self)}"
 
 
 def _check_same_ngens(a: Monomial, b: Monomial):
-    if len(a.exps) != len(b.exps):
-        raise DimensionMismatch(
-            f"monomials over {len(a.exps)} and {len(b.exps)} generators"
-        )
+    if len(a) != len(b):
+        raise DimensionMismatch(f"monomials over {len(a)} and {len(b)} generators")
 
 
 def compare_monomials(a: Monomial, b: Monomial) -> int:
@@ -118,9 +130,10 @@ def compare_monomials(a: Monomial, b: Monomial) -> int:
     where the exponents differ the larger one wins.
     """
     _check_same_ngens(a, b)
-    if a._rev == b._rev:
+    ra, rb = a[::-1], b[::-1]
+    if ra == rb:
         return EQUAL
-    return GREATER if a._rev > b._rev else LESS
+    return GREATER if ra > rb else LESS
 
 
 # bit i of a support mask stands for generator i; compress keeps the bits
@@ -137,43 +150,51 @@ def _support_mask(exps: Sequence[int]) -> int:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     _check_same_ngens(a, b)
-    return all(x <= y for x, y in zip(a.exps, b.exps))
+    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     _check_same_ngens(a, b)
-    return Monomial(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
+    return Monomial([max(x, y) for x, y in zip(a, b)])
 
 
 def mono_sum(a: Monomial, b: Monomial) -> Monomial:
     """Exponent sum; the leading monomial of the straightened product."""
     _check_same_ngens(a, b)
-    return Monomial(tuple(x + y for x, y in zip(a.exps, b.exps)))
+    return Monomial([x + y for x, y in zip(a, b)])
 
 
 def mono_sub(a: Monomial, b: Monomial) -> Monomial:
     """Exponentwise difference a - b; requires b | a."""
     _check_same_ngens(a, b)
-    return Monomial(tuple(x - y for x, y in zip(a.exps, b.exps)))
+    return Monomial([x - y for x, y in zip(a, b)])
 
 
 class Term(NamedTuple):
+    """One term of a polynomial.  Hot code builds it as
+    ``_new_tuple(Term, (coeff, mono))``, skipping the Python-level
+    ``__new__`` that NamedTuple generates."""
+
     coeff: QRat
     mono: Monomial
+
+
+_new_tuple = tuple.__new__
 
 
 class Polynomial:
     """Canonical finite sum of terms, strictly descending under PaperLex.
 
-    A polynomial never changes, so two values derived from it are computed
-    on first use and kept in slots: its hash, which keys the product memo
-    of ``CommutationSystem.mono_mul``, and the support of its LM (see
-    ``_lm_support``), which division and the chain criterion test
+    A polynomial never changes, so three values derived from it are
+    computed on first use and kept in slots: its hash, which keys the
+    product memo of ``CommutationSystem.mono_mul``; its degree, which the
+    memo's degree guard reads on every product; and the support of its LM
+    (see ``_lm_support``), which division and the chain criterion test
     divisibility by.  Filling a slot twice stores the same value, so
     polynomials can still be shared across threads.
     """
 
-    __slots__ = ("terms", "ngens", "_hash", "_support")
+    __slots__ = ("terms", "ngens", "_hash", "_degree", "_support")
 
     def __init__(self, terms: tuple[Term, ...], ngens: int):
         # trusted constructor: terms must already be canonical
@@ -186,18 +207,14 @@ class Polynomial:
 
     @staticmethod
     def one(ngens: int) -> "Polynomial":
-        from .qfield import ONE
-
         return Polynomial((Term(ONE, Monomial.unit(ngens)),), ngens)
 
     @staticmethod
     def from_mono(mono: Monomial, coeff: QRat | None = None) -> "Polynomial":
-        from .qfield import ONE
-
         c = ONE if coeff is None else coeff
         if c.is_zero():
-            return Polynomial((), mono.ngens)
-        return Polynomial((Term(c, mono),), mono.ngens)
+            return Polynomial((), len(mono))
+        return Polynomial((_new_tuple(Term, (c, mono)),), len(mono))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -206,23 +223,26 @@ class Polynomial:
         return self.terms[0]
 
     def lm(self) -> Monomial:
-        return self.terms[0].mono
+        return self.terms[0][1]
 
     def lc(self) -> QRat:
-        return self.terms[0].coeff
+        return self.terms[0][0]
 
     def degree(self) -> int:
         """Maximal total degree over the terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(t.mono.degree for t in self.terms)
+        try:
+            return self._degree
+        except AttributeError:
+            d = self._degree = max([sum(t[1]) for t in self.terms], default=-1)
+            return d
 
     def monic(self) -> "Polynomial":
         if not self.terms or self.lc().is_one():
             return self
         inv = self.lc().inv()
         return Polynomial(
-            tuple(Term(c * inv, m) for c, m in self.terms), self.ngens
+            tuple([_new_tuple(Term, (c * inv, m)) for c, m in self.terms]),
+            self.ngens,
         )
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -233,7 +253,7 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(
-            tuple(Term(-c, m) for c, m in self.terms), self.ngens
+            tuple([_new_tuple(Term, (-c, m)) for c, m in self.terms]), self.ngens
         )
 
     def __eq__(self, other):
@@ -254,13 +274,13 @@ class Polynomial:
         """LM(self) as its generator bitmask and its (index, exponent) pairs.
 
         LM(self) divides a monomial m exactly when the mask has no bit
-        that ``_support_mask(m.exps)`` lacks and every pair's exponent is at
+        that ``_support_mask(m)`` lacks and every pair's exponent is at
         most m's; the mask rejects most non-divisors in one integer test.
         """
         try:
             return self._support
         except AttributeError:
-            exps = self.terms[0].mono.exps
+            exps = self.terms[0][1]
             s = self._support = (
                 _support_mask(exps),
                 tuple((i, e) for i, e in enumerate(exps) if e),
@@ -270,17 +290,26 @@ class Polynomial:
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
-        return f"Polynomial({len(self.terms)} terms, lm={self.lm().exps})"
+        return f"Polynomial({len(self.terms)} terms, lm={self.lm()})"
+
+
+# the PaperLex key of a monomial, its reversed exponents, in C
+_paperlex_key = itemgetter(slice(None, None, -1))
 
 
 def poly_from_dict(acc: dict[Monomial, QRat], ngens: int) -> Polynomial:
-    """Canonicalize an already-merged accumulator (internal hot path)."""
-    terms = tuple(
-        Term(c, m)
-        for m, c in sorted(acc.items(), key=lambda kv: kv[0]._rev, reverse=True)
-        if not c.is_zero()
+    """Canonicalize an already-merged accumulator (internal hot path):
+    drop the zero coefficients, sort once, box each term once."""
+    return Polynomial(
+        tuple(
+            [
+                _new_tuple(Term, (c, m))
+                for m in sorted(acc, key=_paperlex_key, reverse=True)
+                if not (c := acc[m]).is_zero()
+            ]
+        ),
+        ngens,
     )
-    return Polynomial(terms, ngens)
 
 
 def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -9,7 +9,8 @@ validators.
 
 Every product goes through one algorithm, ``CommutationSystem.mono_mul(u, g)``:
 the left multiple of a polynomial g by a monomial u, found by folding u's
-letters over all of g, lowest letter first, and merging after each letter.
+letters over all of g, lowest letter first, and merging after each letter
+into an unsorted dict; only the finished product is sorted.
 A letter at or above a word's top letter only raises its exponent; any
 other letter times a basis word comes from a memoized table lookup.  In
 M_q(n) most pairs swap with a power of q and no tail, so a memo miss moves
@@ -41,6 +42,7 @@ from .pbw import (
     Monomial,
     Polynomial,
     Term,
+    _new_tuple,
     compare_monomials,
     mono_sum,
     poly_from_dict,
@@ -50,9 +52,10 @@ from .qfield import ONE, QMode, QRat, SYMBOLIC
 DEFAULT_MAX_DEGREE = 64
 
 # Terms the product memo of one system may hold, counting the terms of each
-# key polynomial g and of its product u*g.  A term (a tuple, a Monomial and
-# a QRat) took 300-420 bytes on the gb_sym benchmark ideals of M_q(3), so the
-# bound allows about 30 MB per system, plus what larger coefficients add.
+# key polynomial g and of its product u*g.  A term (a Term tuple, a Monomial
+# tuple and a QRat) took 185-270 bytes on the gb_sym benchmark ideals of
+# M_q(3), so the bound allows about 18 MB per system, plus what larger
+# coefficients add.
 _PRODUCT_MEMO_TERMS = 1 << 16
 
 
@@ -96,8 +99,8 @@ class CommutationSystem:
             return ref()._gen_mul_mono_impl(g, mono)
 
         self._gen_mul_mono = lru_cache(maxsize=1 << 16)(gen_mul_mono)
-        # (g, u.exps) -> u*g; the lock guards the stores and the term count
-        self._products: dict[tuple[Polynomial, tuple[int, ...]], Polynomial] = {}
+        # (g, u) -> u*g; the lock guards the stores and the term count
+        self._products: dict[tuple[Polynomial, Monomial], Polynomial] = {}
         self._product_terms = 0
         self._products_lock = threading.Lock()
         if validate:
@@ -141,38 +144,42 @@ class CommutationSystem:
         below z_h z_g), so z_h and P prepend by adding exponents and the
         terms stay sorted.
         """
-        exps = mono.exps
         table = self.table
         scale = ONE
-        for h in range(len(exps) - 1, g, -1):
-            e = exps[h]
+        for h in range(len(mono) - 1, g, -1):
+            e = mono[h]
             if not e:
                 continue
             lam, f = table[(h, g)]
             if f.terms:
                 break
-            for _ in range(e):
-                scale = scale * lam
+            if not lam.is_one():
+                for _ in range(e):
+                    # the first factor replaces the initial one
+                    scale = lam if scale is ONE else scale * lam
         else:
-            out = list(exps)
+            out = list(mono)
             out[g] += 1
             # a lam = 0 of a table built without validation gives zero here
             return Polynomial.from_mono(Monomial(out), scale)
         if scale.is_zero():
             return Polynomial.zero(self.ngens)
-        above = (0,) * (h + 1) + exps[h + 1 :]
-        rest = Monomial(exps[:h] + (e - 1,) + (0,) * (len(exps) - h - 1))
+        above = (0,) * (h + 1) + mono[h + 1 :]
+        rest = Monomial(mono[:h] + (e - 1,) + (0,) * (len(mono) - h - 1))
         lifted = list(above)
         lifted[h] = 1
-        head = scale * lam
+        head = scale if lam.is_one() else scale * lam
         acc: dict[Monomial, QRat] = {}
         if not head.is_zero():
+            one = head.is_one()
             for c, m in self._gen_mul_mono(g, rest).terms:
-                acc[Monomial([x + y for x, y in zip(m.exps, lifted)])] = head * c
+                key = Monomial([x + y for x, y in zip(m, lifted)])
+                acc[key] = c if one else head * c
+        one = scale.is_one()
         for c, m in self.poly_mul(f, Polynomial.from_mono(rest)).terms:
-            key = Monomial([x + y for x, y in zip(m.exps, above)])
+            key = Monomial([x + y for x, y in zip(m, above)])
+            cc = c if one else scale * c
             prev = acc.get(key)
-            cc = scale * c
             acc[key] = cc if prev is None else prev + cc
         return poly_from_dict(acc, self.ngens)
 
@@ -187,17 +194,18 @@ class CommutationSystem:
         unit u returns g itself, and any other product is looked up in
         the system's product memo before it is folded, and stored after.
         """
-        if u.ngens != self.ngens or g.ngens != self.ngens:
+        if len(u) != self.ngens or g.ngens != self.ngens:
             raise DimensionMismatch(
-                f"operands over {u.ngens}/{g.ngens} generators in a "
+                f"operands over {len(u)}/{g.ngens} generators in a "
                 f"{self.ngens}-generator system"
             )
-        if g.is_zero():
+        if not g.terms:
             return g
-        self.check_degree(u.degree + g.degree())
-        if not u.degree:
+        degree = sum(u)
+        self.check_degree(degree + g.degree())
+        if not degree:
             return g
-        key = (g, u.exps)
+        key = (g, u)
         product = self._products.get(key)
         if product is None:
             product = self._fold(u, g)
@@ -205,25 +213,32 @@ class CommutationSystem:
         return product
 
     def _fold(self, u: Monomial, g: Polynomial) -> Polynomial:
-        # fold u's letters over all of g, lowest first: u*g = z_1(z_2(...(z_r*g)))
-        for letter, e in enumerate(u.exps):
+        # fold u's letters over all of g, lowest first: u*g = z_1(z_2(...(z_r*g))).
+        # Between letters the running product is an unsorted dict, whose
+        # zero entries the next letter skips; only the full product is
+        # sorted and boxed.  Sums in Q(q) are exact and canonical, so the
+        # order terms merge in cannot change the result.
+        gen_mul = self._gen_mul_mono
+        acc = {m: c for c, m in g.terms}
+        for letter, e in enumerate(u):
             above = letter + 1
             for _ in range(e):
-                acc: dict[Monomial, QRat] = {}
-                for c, m in g.terms:
-                    if any(m.exps[above:]):
-                        _add_scaled(acc, c, self._gen_mul_mono(letter, m))
+                running, acc = acc, {}
+                for m, c in running.items():
+                    if c.is_zero():
                         continue
-                    out = list(m.exps)
+                    if any(m[above:]):
+                        _add_scaled(acc, c, gen_mul(letter, m))
+                        continue
+                    out = list(m)
                     out[letter] += 1
                     key = Monomial(out)
                     prev = acc.get(key)
                     acc[key] = c if prev is None else prev + c
-                g = poly_from_dict(acc, self.ngens)
-        return g
+        return poly_from_dict(acc, self.ngens)
 
     def _store_product(
-        self, key: tuple[Polynomial, tuple[int, ...]], product: Polynomial
+        self, key: tuple[Polynomial, Monomial], product: Polynomial
     ) -> None:
         """Remember u*g, emptying the memo first if it would pass its bound."""
         size = len(key[0].terms) + len(product.terms)
@@ -257,11 +272,17 @@ class CommutationSystem:
 
 
 def _add_scaled(acc: dict[Monomial, QRat], c: QRat, p: Polynomial) -> None:
-    """acc += c*p, on an unsorted accumulator that poly_from_dict finishes."""
+    """acc += c*p, on an unsorted accumulator that poly_from_dict finishes.
+
+    A product with a factor of one is not formed: c is one for the leading
+    term of every monic element, and so are many letter products' terms.
+    """
+    one = c.is_one()
     for cp, m in p.terms:
+        if not one:
+            cp = c if cp.is_one() else c * cp
         prev = acc.get(m)
-        cc = c * cp
-        acc[m] = cc if prev is None else prev + cc
+        acc[m] = cp if prev is None else prev + cp
 
 
 def scalar_mul(c: QRat, f: Polynomial) -> Polynomial:
@@ -269,7 +290,9 @@ def scalar_mul(c: QRat, f: Polynomial) -> Polynomial:
         return Polynomial.zero(f.ngens)
     if c.is_one():
         return f
-    return Polynomial(tuple(Term(c * cf, m) for cf, m in f.terms), f.ngens)
+    return Polynomial(
+        tuple([_new_tuple(Term, (c * cf, m)) for cf, m in f.terms]), f.ngens
+    )
 
 
 # -- validation ---------------------------------------------------------

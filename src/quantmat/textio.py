@@ -301,11 +301,11 @@ def _scalar_of(p: Polynomial) -> Optional[QRat]:
 
 def eval_expr(node: ExprNode, sys: CommutationSystem) -> Polynomial:
     ngens = sys.ngens
-    one = Polynomial.one(ngens)
     if isinstance(node, RationalLit):
-        return scalar_mul(QRat.from_rational(node.value), one)
+        return scalar_mul(QRat.from_rational(node.value), Polynomial.one(ngens))
     if isinstance(node, QPower):
-        return scalar_mul(QRat.q_power(node.power).specialize(sys.qmode), one)
+        c = QRat.q_power(node.power).specialize(sys.qmode)
+        return scalar_mul(c, Polynomial.one(ngens))
     if isinstance(node, GenPower):
         n = isqrt(ngens)
         if n * n != ngens:

@@ -74,6 +74,21 @@ def test_workload_fields():
     assert isinstance(c.is_one(), bool)
     assert isinstance(c.specialize(qfield.QMode.numeric(2)), qfield.QRat)
     assert isinstance(term.mono.exps, tuple)
+    # the term shape workloads.py reads: (coeff, mono) pairs whose
+    # monomials hash as, and equal, their exponent tuples
+    g = gens[1]  # z[2,1]*z[1,2] + z[1,1]
+    pairs = [(c, m) for c, m in g.terms]
+    assert [type(c) for c, _ in pairs] == [qfield.QRat, qfield.QRat]
+    expected = [(0, 1, 1, 0), (1, 0, 0, 0)]
+    assert [m.exps for _, m in pairs] == expected
+    for exps in (g.terms[0].mono.exps, g.lm().exps):
+        assert isinstance(exps, tuple) and exps == expected[0]
+        assert [type(e) for e in exps] == [int] * 4
+    for h in (g, *partial.elements):
+        keys = [tuple(reversed(m.exps)) for _, m in h.terms]
+        assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+        for _, m in h.terms:
+            assert hash(m) == hash(m.exps) == hash(tuple(m.exps))
 
 
 def test_oracle_imports():

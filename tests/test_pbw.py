@@ -56,6 +56,11 @@ def test_monomial_basics():
     assert u.degree == 0 and u.word() == () and u.top() == -1
     g = Monomial.gen(1, 4)
     assert g.exps == (0, 1, 0, 0)
+    # a monomial is the tuple of its exponents: equal, same hash, and
+    # printed as that tuple by str; repr tags it
+    assert g.exps is g and g == (0, 1, 0, 0) and hash(g) == hash((0, 1, 0, 0))
+    assert g.ngens == 4 and g.sort_key() == (0, 0, 1, 0) and not g.is_unit()
+    assert str(g) == "(0, 1, 0, 0)" and repr(g) == "Monomial(0, 1, 0, 0)"
 
 
 def test_compare_frozen_examples():

@@ -204,6 +204,31 @@ def test_zero_lambda_head_drops_out():
                 assert p.is_zero() == (b > 0 and f.is_zero())
 
 
+def test_fold_skips_a_coefficient_cancelled_at_an_inner_letter():
+    # in the Weyl algebra x*(d x + 1) = (d x^2 - x) + x: the first letter of
+    # u = x^2 cancels the x term, and the second letter folds over what is left
+    w = weyl_algebra()
+    g = Polynomial.from_mono(Monomial((1, 1))) + Polynomial.one(2)
+    assert w.mono_mul(Monomial((1, 0)), g) == Polynomial.from_mono(Monomial((2, 1)))
+    u = Monomial((2, 0))
+    p = w.mono_mul(u, g)
+    assert p == naive_poly_mul(w, Polynomial.from_mono(u), g)
+    assert p == poly_canonicalize(
+        [Term(ONE, Monomial((3, 1))), Term(-ONE, Monomial((2, 0)))], 2
+    )
+
+
+def test_weyl_folds_of_degree_two_and_more_agree_with_naive():
+    rng = random.Random(26)
+    w = weyl_algebra()
+    for _ in range(150):
+        u = Monomial((rng.randint(1, 3), rng.randint(0, 2)))
+        if u.degree < 2:
+            continue
+        g = rand_poly(rng, 2, max_degree=3, max_terms=4)
+        assert w.mono_mul(u, g) == naive_poly_mul(w, Polynomial.from_mono(u), g)
+
+
 def test_quantum_plane_relation():
     qp = quantum_plane()
     # x*y = (1/q) y*x with x the lower generator
@@ -303,7 +328,7 @@ def test_tampered_tail_not_below(sys2):
     bad = CommutationSystem(4, table, validate=False, gen_names=sys2.gen_names)
     report = validate_solvability(bad)
     assert not report.ok
-    assert "not below" in report.failures()[0].witness
+    assert report.failures()[0].witness == "LM(f) = (0, 0, 0, 2) not below (1, 0, 0, 1)"
     assert report.failures()[0].name == "z[1,1]*z[2,2]"
 
 
@@ -447,6 +472,28 @@ def test_degree_guard_counts_the_whole_polynomial():
         qp.mono_mul(Monomial((3, 0)), g)
     assert qp.mono_mul(Monomial((2, 0)), g).degree() == 6
     assert qp.mono_mul(Monomial((9, 0)), Polynomial.zero(2)).is_zero()
+
+
+def test_cached_degree_is_the_largest_term_degree():
+    rng = random.Random(27)
+    for _ in range(100):
+        p = rand_poly(rng, 4, max_degree=4, max_terms=4)
+        top = max(sum(m) for _, m in p.terms)
+        assert p.degree() == top
+        assert p.degree() == top  # read from the slot
+    assert Polynomial.zero(4).degree() == -1
+
+
+def test_degree_guard_boundary_on_a_cached_degree():
+    # LM(g) = z_1 has degree 1; the degree-3 term below it sets deg g
+    sys = CommutationSystem(2, {(1, 0): (Q, Polynomial.zero(2))}, max_degree=5)
+    z1, z0_cubed = Monomial((0, 1)), Monomial((3, 0))
+    g = Polynomial.from_mono(z1) + Polynomial.from_mono(z0_cubed)
+    assert g.lm() == z1 and g.degree() == 3
+    for _ in range(2):  # the second product is a memo hit
+        assert sys.mono_mul(Monomial((1, 1)), g).degree() == 5
+        with pytest.raises(DegreeGuardExceeded, match="degree 6 exceeds guard 5"):
+            sys.mono_mul(Monomial((2, 1)), g)
 
 
 def test_negative_degree_guard_is_rejected():

@@ -85,9 +85,17 @@ def test_abround_probe_against_this_checkout():
     ]
     assert lines[3].startswith("median head/base ")
     assert lines[4].startswith("head won ") and lines[4].endswith(" rounds")
+    # each side's 90th percentile of the per-operation times, e.g.
+    # "p90 operation base 30.21 ms head 27.06 ms head/base 0.896"
+    p90 = lines[5].split()
+    assert len(p90) == 10
+    assert [p90[k] for k in (0, 1, 2, 4, 5, 7, 8)] == [
+        "p90", "operation", "base", "ms", "head", "ms", "head/base"
+    ]
+    assert float(p90[3]) > 0 and float(p90[6]) > 0 and float(p90[9]) > 0
     # then one line per instance, in instance order: each side's median
     # time, e.g. "instance minors base 7.05 ms head 6.32 ms head/base 0.896"
-    words = [line.split() for line in lines[5:]]
+    words = [line.split() for line in lines[6:]]
     assert [w[1] for w in words] == [
         "minors", "quad", "sum", "trace", "lin2", "trace_lin", "trace2",
         "w3", "s5", "s6", "s9", "s17", "s20",

@@ -14,10 +14,12 @@ and head in turn, until S seconds have passed (at least one pair of
 rounds); every instance in a round is timed by process CPU time, and a
 round's time is their sum.  It prints each side's median round, the
 median of the per-pair head/base ratios, and how many pairs the head
-won; then, one line per instance, each side's median time for that
-instance and their ratio, so a change in the tail can be traced to the
-instances that set it.  It supplements perfbench/run.py; it does not
-replace it.
+won; then each side's 90th percentile of the per-operation times (an
+operation is one instance in one round; perfbench's `op_tail_ms` is the
+same percentile of its operations) and their ratio; then, one line per
+instance, each side's median time for that instance and their ratio, so
+a change in the tail can be traced to the instances that set it.  It
+supplements perfbench/run.py; it does not replace it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,13 @@ def timed_round(pkg, instances) -> list[float]:
     return times
 
 
+def p90(rounds: list[list[float]]) -> float:
+    """90th percentile of the per-operation times of all rounds, by linear
+    interpolation between closest ranks, as perfbench computes op_tail_ms."""
+    times = [t for r in rounds for t in r]
+    return statistics.quantiles(times, n=10, method="inclusive")[-1]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument(
@@ -116,6 +125,12 @@ def main(argv=None) -> int:
     print(f"head median round {1000 * statistics.median(head_t):.1f} ms")
     print(f"median head/base {statistics.median(ratios):.3f}")
     print(f"head won {wins} of {len(ratios)} rounds")
+    b90, h90 = p90(base_r), p90(head_r)
+    ratio = f"{h90 / b90:.3f}" if b90 else "n/a"
+    print(
+        f"p90 operation base {1000 * b90:.2f} ms"
+        f" head {1000 * h90:.2f} ms head/base {ratio}"
+    )
     for k, inst in enumerate(instances):
         b = statistics.median(r[k] for r in base_r)
         h = statistics.median(r[k] for r in head_r)
