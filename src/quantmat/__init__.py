@@ -31,7 +31,6 @@ from .pbw import (
     compare_monomials,
     gen_index,
     gen_row_col,
-    mono_divides,
     mono_lcm,
     mono_sub,
     mono_sum,
@@ -72,7 +71,6 @@ from .textio import (
     format_poly,
     format_qrat,
     load_ideal,
-    parse_expr,
     parse_poly,
     save_ideal,
 )
@@ -131,11 +129,9 @@ __all__ = [
     "left_spoly",
     "load_ideal",
     "make_staircase",
-    "mono_divides",
     "mono_lcm",
     "mono_sub",
     "mono_sum",
-    "parse_expr",
     "parse_poly",
     "quantum_determinant",
     "quantum_plane",

@@ -148,11 +148,6 @@ def _support_mask(exps: Sequence[int]) -> int:
     return sum(compress(_BITS, exps))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    _check_same_ngens(a, b)
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     _check_same_ngens(a, b)
     return Monomial([max(x, y) for x, y in zip(a, b)])

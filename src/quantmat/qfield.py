@@ -379,18 +379,6 @@ class QRat:
             return _make(pneg(d), pneg(n), -self._v)
         return _make(d, n, -self._v)
 
-    def __pow__(self, k: int) -> "QRat":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def specialize(self, mode: QMode) -> "QRat":
         """Evaluate at mode's rational q; identity in symbolic mode."""
         if mode.is_symbolic:

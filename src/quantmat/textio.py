@@ -1,12 +1,18 @@
 """Text syntax for polynomials and JSON ideal files.
 
-Grammar (products are noncommutative and evaluated in written order;
-division is permitted by scalar factors only):
+Grammar (products are noncommutative and straightened in written order;
+division is permitted by nonzero scalar factors only):
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := integer | 'q' ['^' int] | 'z[' row ',' col ']' ['^' nat]
-            | '(' expr ')'
+    factor := integer | 'q' ['^' ['-'] integer]
+            | 'z[' integer ',' integer ']' ['^' integer] | '(' expr ')'
+
+Expressions are evaluated as parsed: each grammar rule returns the
+canonical polynomial of the text it read, and no syntax tree is built.
+Errors are therefore reported in text order; an evaluation error (the
+degree guard, a non-scalar divisor, a numeric q^k past
+``_MAX_QPOWER_BITS``) precedes any syntax error further right.
 
 Formatting emits terms in descending basis order and round-trips:
 parse_poly(format_poly(p)) == p exactly.
@@ -19,11 +25,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .errors import InvalidSpec, NegativeGeneratorPower, ParseError
 from .pbw import Monomial, Polynomial, gen_index
-from .qfield import QMode, QRat, ZERO
+from .qfield import QMode, QRat
 from .straighten import CommutationSystem, scalar_mul
 
 SCHEMA_VERSION = 1
@@ -128,56 +134,14 @@ def format_poly(p: Polynomial, names: Sequence[str]) -> str:
     return "".join(out)
 
 
-# -- expression AST -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class QPower:
-    power: int
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class GenPower:
-    row: int
-    col: int
-    power: int = 1
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Group:
-    inner: "ExprNode"
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Product:
-    # items are (op, node) with op in '*/' ; the first op is always '*'
-    items: tuple
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Sum:
-    # items are (sign, node) with sign +1 or -1
-    items: tuple
-    pos: int = 0
-
-
-ExprNode = Union[RationalLit, QPower, GenPower, Group, Product, Sum]
-
-
 # -- tokenizer and parser -------------------------------------------------
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z]+)|(\S)")
 _SYMBOLS = set("+-*/^()[],")
+
+# At numeric q, q^k is an exact rational of about |k| times the bits of q;
+# a written power beyond this many bits is rejected instead of computed.
+_MAX_QPOWER_BITS = 1 << 20
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -198,9 +162,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent that evaluates as it parses: each rule returns the
+    canonical polynomial of the text it consumed, so errors are reported
+    in the order they occur in the text."""
+
+    def __init__(self, text: str, sys: CommutationSystem):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.sys = sys
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -212,62 +181,87 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> ExprNode:
-        node = self.expr()
+    def parse(self) -> Polynomial:
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r} after expression", tok[2])
-        return node
+        return value
 
-    def expr(self) -> ExprNode:
-        pos = self.peek()[2]
-        items = []
-        sign = 1
+    def expr(self) -> Polynomial:
         if self.peek()[0] == "-":
             self.take("-")
-            sign = -1
-        items.append((sign, self.term()))
+            acc = -self.term()
+        else:
+            acc = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])
-            items.append((1 if op[0] == "+" else -1, self.term()))
-        return Sum(tuple(items), pos)
+            op = self.take(self.peek()[0])[0]
+            value = self.term()
+            acc = acc + value if op == "+" else acc - value
+        return acc
 
-    def term(self) -> ExprNode:
-        pos = self.peek()[2]
-        items = [("*", self.factor())]
+    def term(self) -> Polynomial:
+        acc = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.take(self.peek()[0])
-            items.append((op[0], self.factor()))
-        return Product(tuple(items), pos)
+            op = self.take(self.peek()[0])[0]
+            pos = self.peek()[2]
+            value = self.factor()
+            if op == "*":
+                acc = self.sys.poly_mul(acc, value)
+            elif value.is_zero():
+                raise ParseError("division by zero", pos)
+            elif len(value.terms) > 1 or not value.lm().is_unit():
+                raise ParseError("division is only defined by scalars", pos)
+            else:
+                acc = scalar_mul(value.lc().inv(), acc)
+        return acc
 
-    def factor(self) -> ExprNode:
+    def factor(self) -> Polynomial:
         kind, text, pos = self.peek()
+        ngens = self.sys.ngens
         if kind == "num":
-            self.take("num")
-            return RationalLit(Fraction(int(text)), pos)
+            c = QRat.from_rational(self._integer())
+            return Polynomial.from_mono(Monomial.unit(ngens), c)
         if kind == "name":
             if text == "q":
                 self.take("name")
-                power = self._exponent(allow_negative=True) if self.peek()[0] == "^" else 1
-                return QPower(power, pos)
+                power = 1
+                if self.peek()[0] == "^":
+                    at = self.tokens[self.i + 1][2]  # the exponent, after '^'
+                    power = self._exponent(allow_negative=True)
+                    self._check_q_power(power, at)
+                c = QRat.q_power(power).specialize(self.sys.qmode)
+                return Polynomial.from_mono(Monomial.unit(ngens), c)
             if text == "z":
                 self.take("name")
                 self.take("[")
-                row = int(self.take("num")[1])
+                row = self._integer()
                 self.take(",")
-                col = int(self.take("num")[1])
+                col = self._integer()
                 self.take("]")
                 power = 1
                 if self.peek()[0] == "^":
                     power = self._exponent(allow_negative=False)
-                return GenPower(row, col, power, pos)
+                n = isqrt(ngens)
+                if n * n != ngens:
+                    raise ParseError("z[i,j] generators need a square generator count", pos)
+                linear = gen_index(row, col, n).linear
+                self.sys.check_degree(power)
+                return Polynomial.from_mono(Monomial.gen(linear, ngens, power))
             raise ParseError(f"unknown symbol {text!r}", pos)
         if kind == "(":
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return Group(inner, pos)
+            return inner
         raise ParseError(f"expected a factor, found {text or 'end of input'!r}", pos)
+
+    def _integer(self) -> int:
+        _, text, pos = self.take("num")
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
 
     def _exponent(self, allow_negative: bool) -> int:
         self.take("^")
@@ -279,73 +273,24 @@ class _Parser:
                     "generator exponents must be nonnegative", tok[2]
                 )
             neg = True
-        value = int(self.take("num")[1])
+        value = self._integer()
         return -value if neg else value
 
-
-def parse_expr(text: str) -> ExprNode:
-    return _Parser(text).parse()
-
-
-# -- evaluation -----------------------------------------------------------
-
-
-def _scalar_of(p: Polynomial) -> Optional[QRat]:
-    """The coefficient if p is a scalar (constant) polynomial, else None."""
-    if p.is_zero():
-        return ZERO
-    if len(p.terms) == 1 and p.terms[0].mono.is_unit():
-        return p.terms[0].coeff
-    return None
-
-
-def eval_expr(node: ExprNode, sys: CommutationSystem) -> Polynomial:
-    ngens = sys.ngens
-    if isinstance(node, RationalLit):
-        return scalar_mul(QRat.from_rational(node.value), Polynomial.one(ngens))
-    if isinstance(node, QPower):
-        c = QRat.q_power(node.power).specialize(sys.qmode)
-        return scalar_mul(c, Polynomial.one(ngens))
-    if isinstance(node, GenPower):
-        n = isqrt(ngens)
-        if n * n != ngens:
-            raise ParseError(
-                "z[i,j] generators need a square generator count", node.pos
-            )
-        linear = gen_index(node.row, node.col, n).linear
-        sys.check_degree(node.power)
-        return Polynomial.from_mono(Monomial.gen(linear, ngens, node.power))
-    if isinstance(node, Group):
-        return eval_expr(node.inner, sys)
-    if isinstance(node, Product):
-        acc = eval_expr(node.items[0][1], sys)
-        for op, sub in node.items[1:]:
-            v = eval_expr(sub, sys)
-            if op == "*":
-                acc = sys.poly_mul(acc, v)
-                continue
-            c = _scalar_of(v)
-            if c is None:
-                raise ParseError("division is only defined by scalars", sub.pos)
-            if c.is_zero():
-                raise ParseError("division by zero", sub.pos)
-            acc = scalar_mul(c.inv(), acc)
-        return acc
-    if isinstance(node, Sum):
-        acc = Polynomial.zero(ngens)
-        for sign, sub in node.items:
-            v = eval_expr(sub, sys)
-            acc = acc + v if sign > 0 else acc - v
-        return acc
-    raise TypeError(f"not an expression node: {node!r}")
+    def _check_q_power(self, power: int, pos: int) -> None:
+        q = self.sys.qmode.value
+        if q is None:
+            return  # symbolic q^k is stored as its exponent
+        bits = abs(power) * max(q.numerator.bit_length(), q.denominator.bit_length())
+        if bits > _MAX_QPOWER_BITS:
+            raise ParseError(f"q^{power} at q = {q} exceeds {_MAX_QPOWER_BITS} bits", pos)
 
 
 def parse_poly(text: str, sys: CommutationSystem) -> Polynomial:
-    """Parse and straighten an expression into canonical form."""
+    """Parse an expression and evaluate it to its canonical polynomial."""
     try:
-        return eval_expr(parse_expr(text), sys)
+        return _Parser(text, sys).parse()
     except RecursionError:
-        # the parser and the evaluator recurse once per level of nesting
+        # the parser recurses once per level of nesting
         raise ParseError("expression nests too deeply", 0) from None
 
 
@@ -359,14 +304,11 @@ class IdealFile:
     n: int
     q: str = "symbolic"
     generators: list[str] = field(default_factory=list)
-    ordering: str = "paperlex"
     limits: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:
             raise InvalidSpec(f"matrix dimension must be >= 2, got {self.n}")
-        if self.ordering != "paperlex":
-            raise InvalidSpec(f"unsupported ordering {self.ordering!r}")
         if self.q != "symbolic":
             QMode.numeric(self.q)  # raises for a zero or malformed q
         for key in ("max_pairs", "max_degree"):
@@ -379,7 +321,7 @@ class IdealFile:
             "n": self.n,
             "q": self.q,
             "generators": list(self.generators),
-            "ordering": self.ordering,
+            "ordering": "paperlex",
             "limits": dict(self.limits),
         }
 
@@ -397,11 +339,14 @@ class IdealFile:
         limits = data.get("limits", {})
         if not isinstance(limits, dict):
             raise InvalidSpec("ideal file limits must be a JSON object")
+        ordering = str(data.get("ordering", "paperlex"))
+        if ordering != "paperlex":
+            # the engine has one ordering; the field names it for readers
+            raise InvalidSpec(f"unsupported ordering {ordering!r}")
         return IdealFile(
             n=_check_integer("n", data["n"]),
             q=str(data.get("q", "symbolic")),
             generators=[str(s) for s in generators],
-            ordering=str(data.get("ordering", "paperlex")),
             limits=dict(limits),
         )
 

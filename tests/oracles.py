@@ -182,7 +182,7 @@ def commutator(sys, f: Polynomial, g: Polynomial) -> Polynomial:
     return sys.poly_mul(f, g) - sys.poly_mul(g, f)
 
 
-# -- ordering oracle: comparison of the written words --------------------
+# -- ordering oracle: comparison of the written words, divisibility ------
 
 
 def compare_word_lex(a: Monomial, b: Monomial) -> int:
@@ -197,6 +197,13 @@ def compare_word_lex(a: Monomial, b: Monomial) -> int:
     if len(wa) == len(wb):
         return EQUAL
     return LESS if len(wa) < len(wb) else GREATER
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    """Exponentwise a <= b; division in the engine tests LM bitmasks."""
+    if a.ngens != b.ngens:
+        raise DimensionMismatch(f"monomials over {a.ngens} and {b.ngens} generators")
+    return all(x <= y for x, y in zip(a, b))
 
 
 # -- random data ----------------------------------------------------------
@@ -294,7 +301,7 @@ def rebuild_left_divide(f: Polynomial, G, sys):
     while not p.is_zero():
         c, m = p.lt()
         for k, g in enumerate(G):
-            if _lm_divides(g.lm(), m):
+            if mono_divides(g.lm(), m):
                 delta = Monomial([y - x for x, y in zip(g.lm().exps, m.exps)])
                 h = g if delta.is_unit() else sys.mono_mul(delta, g)
                 coef = c / h.lc()
@@ -351,10 +358,6 @@ def _left_lift(sys, exps, g: Polynomial) -> Polynomial:
     return naive_poly_mul(sys, Polynomial((Term(ONE, Monomial(exps)),), sys.ngens), g)
 
 
-def _lm_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a.exps, b.exps))
-
-
 def _reduces_to_zero(f: Polynomial, G, sys) -> bool:
     """True iff top reduction by G, first dividing LM first, ends at zero.
 
@@ -365,7 +368,7 @@ def _reduces_to_zero(f: Polynomial, G, sys) -> bool:
     p = f
     while not p.is_zero():
         c, m = p.lt()
-        g = next((g for g in G if _lm_divides(g.lm(), m)), None)
+        g = next((g for g in G if mono_divides(g.lm(), m)), None)
         if g is None:
             return False
         h = _left_lift(sys, [y - x for x, y in zip(g.lm().exps, m.exps)], g)

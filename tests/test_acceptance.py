@@ -28,7 +28,6 @@ from quantmat.pbw import (
     Polynomial,
     Term,
     compare_monomials,
-    mono_divides,
     mono_sum,
 )
 from quantmat.qfield import QRat
@@ -44,6 +43,7 @@ from oracles import (
     compare_word_lex,
     growth_degree,
     membership_oracle,
+    mono_divides,
     prefix_intersection_found,
     rand_monomial,
     rand_poly,

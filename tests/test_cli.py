@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import time
 from math import comb
 from pathlib import Path
 
@@ -229,6 +230,36 @@ def test_degree_guard_bounds_ideal_generators(capsys):
     assert (code, out, err) == (3, "", "error: product degree 70 exceeds guard 64\n")
 
 
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("z[1,1]^70 +", (3, "", "error: product degree 70 exceeds guard 64\n")),
+        (
+            "z[1,1]/z[1,2] )",
+            (2, "", "error: division is only defined by scalars (at position 7)\n"),
+        ),
+    ],
+)
+def test_input_errors_are_reported_left_to_right(capsys, expr, expected):
+    # the expression is evaluated as it is read: the first error in the
+    # text wins, even when a syntax error follows it
+    assert run(capsys, "nf", "--n", "2", expr) == expected
+
+
+def test_overlong_integer_literal_exits_2(capsys):
+    code, out, err = run(capsys, "nf", "--n", "2", "z[1," + "1" * 5000 + "]")
+    assert (code, out) == (2, "")
+    assert err == "error: integer literal of 5000 digits is too long (at position 4)\n"
+
+
+def test_numeric_q_power_past_the_bit_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", "--n", "2", "--q", "3", "q^1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: q^1000000000 at q = 3 exceeds 1048576 bits (at position 2)\n"
+
+
 def test_negative_pair_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gb", *DIAG, "--max-pairs", "-1")
     assert (code, out, err) == (2, "", "error: pair budget must be >= 0, got -1\n")
@@ -296,6 +327,7 @@ _GOOD_FILE = {"schema": 1, "n": 2, "generators": ["z[1,1]"]}
         ({**_GOOD_FILE, "n": "2"}, "n must be an integer, got '2'"),
         ({"schema": 1, "generators": ["z[1,1]"]}, "ideal file has no matrix dimension n"),
         ([_GOOD_FILE], "an ideal file must hold a JSON object"),
+        ({**_GOOD_FILE, "ordering": "deglex"}, "unsupported ordering 'deglex'"),
     ],
 )
 def test_malformed_ideal_file_exits_2(tmp_path, capsys, data, message):

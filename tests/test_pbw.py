@@ -12,7 +12,6 @@ from quantmat.pbw import (
     compare_monomials,
     gen_index,
     gen_row_col,
-    mono_divides,
     mono_lcm,
     mono_sub,
     mono_sum,
@@ -21,7 +20,13 @@ from quantmat.pbw import (
 )
 from quantmat.qfield import ONE, Q, QRat, ZERO
 
-from oracles import compare_word_lex, poly_canonicalize, rand_monomial, rand_poly
+from oracles import (
+    compare_word_lex,
+    mono_divides,
+    poly_canonicalize,
+    rand_monomial,
+    rand_poly,
+)
 
 
 def test_gen_index_linearization():

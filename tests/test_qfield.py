@@ -114,13 +114,6 @@ def test_sign():
     assert QRat((1, -2)).sign() == -1  # leading coefficient is -2
 
 
-def test_pow():
-    base = Q + ONE
-    assert base ** 3 == base * base * base
-    assert base ** 0 == ONE
-    assert base ** -2 == (base.inv()) ** 2
-
-
 def _rand_qrat(rng, allow_zero=False):
     while True:
         num = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
