@@ -30,7 +30,6 @@ from .pbw import (
     Term,
     compare_monomials,
     gen_index,
-    gen_row_col,
     mono_lcm,
     mono_sub,
     mono_sum,
@@ -41,7 +40,6 @@ from .straighten import (
     ValidationReport,
     quantum_plane,
     scalar_mul,
-    validate_ordering,
     validate_solvability,
     weyl_algebra,
 )
@@ -119,7 +117,6 @@ __all__ = [
     "format_poly",
     "format_qrat",
     "gen_index",
-    "gen_row_col",
     "gk_dimension",
     "hilbert_count",
     "ideal_member",
@@ -137,7 +134,6 @@ __all__ = [
     "quantum_plane",
     "save_ideal",
     "scalar_mul",
-    "validate_ordering",
     "validate_solvability",
     "weyl_algebra",
 ]

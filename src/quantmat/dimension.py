@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import EmptyBasis, InvalidPrefix
 from .groebner import GroebnerBasis
-from .pbw import Polynomial
+from .pbw import Polynomial, _paperlex_key
 from .straighten import CheckResult, ValidationReport
 
 
@@ -59,7 +59,7 @@ class Staircase:
 
 def make_staircase(dim: int, vectors) -> Staircase:
     """Antichain of the given exponent vectors (divisibility-minimal ones)."""
-    mins = sorted(_minimal(tuple(v) for v in vectors), key=lambda v: v[::-1])
+    mins = sorted(_minimal(tuple(v) for v in vectors), key=_paperlex_key)
     return Staircase(dim, tuple(mins))
 
 

@@ -24,6 +24,7 @@ from .pbw import (
     Polynomial,
     Term,
     _new_tuple,
+    _paperlex_key,
     _support_mask,
     mono_lcm,
     mono_sub,
@@ -141,10 +142,10 @@ def left_divide(
 
 
 def _heap_key(m: Monomial) -> tuple[int, ...]:
-    # heapq pops the smallest item; negated PaperLex keys pop the largest
-    # monomial first.  Equal keys mean equal monomials, so a tie compares
-    # them by == and never by <.
-    return tuple([-x for x in m[::-1]])
+    # the PaperLex key negated: heapq pops the smallest item, so the largest
+    # monomial comes first.  Equal keys mean equal monomials, so a tie
+    # compares them by == and never by <.
+    return tuple([-x for x in _paperlex_key(m)])
 
 
 def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polynomial:
@@ -183,7 +184,7 @@ def buchberger(
     # monic inputs, first occurrence kept; division scans the basis by
     # (LM ascending, insertion order)
     elems = list(dict.fromkeys(g.monic() for g in inputs))
-    view = sorted((g.lm().sort_key(), t) for t, g in enumerate(elems))
+    view = sorted((_paperlex_key(g.lm()), t) for t, g in enumerate(elems))
 
     # (lcm key, i, j, lcm): (i, j) is unique, so no Monomial is compared
     heap: list[tuple[tuple[int, ...], int, int, Monomial]] = []
@@ -192,7 +193,7 @@ def buchberger(
     def add_pairs(j: int) -> None:
         for i in range(j):
             lcm = mono_lcm(elems[i].lm(), elems[j].lm())
-            heapq.heappush(heap, (lcm.sort_key(), i, j, lcm))
+            heapq.heappush(heap, (_paperlex_key(lcm), i, j, lcm))
             pending.add((i, j))
 
     for j in range(len(elems)):
@@ -221,7 +222,7 @@ def buchberger(
         if s.is_zero():
             drops += 1
             continue
-        bisect.insort(view, (s.lm().sort_key(), len(elems)))
+        bisect.insort(view, (_paperlex_key(s.lm()), len(elems)))
         elems.append(s.monic())
         add_pairs(len(elems) - 1)
 
@@ -290,7 +291,7 @@ def _interreduce(
     Groebner basis no LM drops, each element is divided once, and the
     result is the unique reduced basis.
     """
-    items = sorted((p.monic() for p in elems), key=lambda p: p.lm().sort_key())
+    items = sorted((p.monic() for p in elems), key=lambda p: _paperlex_key(p.lm()))
     t = 0
     while t < len(items) and len(items) > 1:
         p = items[t]
@@ -302,7 +303,7 @@ def _interreduce(
         if r.lm() == p.lm():
             t += 1
         else:
-            items.sort(key=lambda p: p.lm().sort_key())
+            items.sort(key=lambda p: _paperlex_key(p.lm()))
             t = 0
     return items
 

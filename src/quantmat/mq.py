@@ -56,7 +56,8 @@ def build_mq(spec: MqSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> CommutationS
         hook = Q - Q.inv()
     else:
         v = spec.qmode.value
-        if abs(v) == 1:
+        # q = -1 keeps lam = -1 on R1/R2, so only q = 1 commutes
+        if v == 1:
             warnings.warn(
                 f"q = {v} makes M_q({n}) a commutative polynomial ring",
                 stacklevel=2,

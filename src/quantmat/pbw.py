@@ -9,8 +9,8 @@ independent word-form comparison.
 The data is plain: a ``Monomial`` is a tuple of exponents, a ``Term`` a
 (coefficient, monomial) pair, and a ``Polynomial`` a tuple of terms in
 descending PaperLex order.  The hot paths of the engine merge terms in a
-dict keyed by monomial and sort once, by the reversed exponents, when
-they build a polynomial (``poly_from_dict``).
+dict keyed by monomial and sort once, by ``_paperlex_key``, when they
+build a polynomial (``poly_from_dict``).
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def gen_index(i: int, j: int, n: int) -> GeneratorId:
     return GeneratorId(i, j, n)
 
 
-def gen_row_col(linear: int, n: int) -> tuple[int, int]:
-    return linear // n + 1, linear % n + 1
-
-
 class Monomial(tuple):
     """Exponent vector; denotes the descending PBW word it encodes.
 
@@ -60,7 +56,7 @@ class Monomial(tuple):
     Monomial equals, and hashes as, the plain tuple of its exponents, and
     dict and heap lookups run no Python code.  So is ``<``: tuple order is
     lexicographic from the lowest generator and is not PaperLex, which
-    ``sort_key`` and ``compare_monomials`` give.  ``exps`` is the monomial
+    ``_paperlex_key`` and ``compare_monomials`` give.  ``exps`` is the monomial
     itself; ``str`` prints it as the plain tuple, ``repr`` tags it.
     """
 
@@ -91,26 +87,12 @@ class Monomial(tuple):
     def is_unit(self) -> bool:
         return not any(self)
 
-    def word(self) -> tuple[int, ...]:
-        """Generator indices of the descending word, highest first."""
-        out = []
-        for g in range(len(self) - 1, -1, -1):
-            out.extend([g] * self[g])
-        return tuple(out)
-
     def top(self) -> int:
         """Largest generator index with nonzero exponent; -1 for the unit."""
         for g in range(len(self) - 1, -1, -1):
             if self[g]:
                 return g
         return -1
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(g for g, e in enumerate(self) if e)
-
-    def sort_key(self) -> tuple[int, ...]:
-        # reversed exponents make Python tuple order coincide with PaperLex
-        return self[::-1]
 
     __str__ = tuple.__repr__
 
@@ -123,14 +105,18 @@ def _check_same_ngens(a: Monomial, b: Monomial):
         raise DimensionMismatch(f"monomials over {len(a)} and {len(b)} generators")
 
 
-def compare_monomials(a: Monomial, b: Monomial) -> int:
-    """Normative PaperLex comparison on exponent vectors.
+# PaperLex, the one monomial ordering: scan the exponents from the top
+# generator down, and at the first index where they differ the larger one
+# wins.  So the PaperLex key of a monomial is its reversed exponents, and
+# Python's tuple order on the keys is PaperLex.  Every sort and comparison
+# of monomials goes through this key; it runs in C.
+_paperlex_key = itemgetter(slice(None, None, -1))
 
-    Scans linear indices from the top generator down; at the first index
-    where the exponents differ the larger one wins.
-    """
+
+def compare_monomials(a: Monomial, b: Monomial) -> int:
+    """Normative PaperLex comparison on exponent vectors (see ``_paperlex_key``)."""
     _check_same_ngens(a, b)
-    ra, rb = a[::-1], b[::-1]
+    ra, rb = _paperlex_key(a), _paperlex_key(b)
     if ra == rb:
         return EQUAL
     return GREATER if ra > rb else LESS
@@ -214,9 +200,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lt(self) -> Term:
-        return self.terms[0]
-
     def lm(self) -> Monomial:
         return self.terms[0][1]
 
@@ -286,10 +269,6 @@ class Polynomial:
         if not self.terms:
             return "Polynomial(0)"
         return f"Polynomial({len(self.terms)} terms, lm={self.lm()})"
-
-
-# the PaperLex key of a monomial, its reversed exponents, in C
-_paperlex_key = itemgetter(slice(None, None, -1))
 
 
 def poly_from_dict(acc: dict[Monomial, QRat], ngens: int) -> Polynomial:

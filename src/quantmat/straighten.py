@@ -1,11 +1,17 @@
 """Straightening engine: multiplication in any algebra given by a
-commutation table, plus machine checks of the table and ordering axioms.
+commutation table, plus the machine check that the table is solvable.
 
 The table holds, for every generator pair big > small, the normal form of
 the ascending product z_small * z_big as lam * (z_big z_small) + f.  The
 engine is generic: the quantized matrix algebra is one instance; the
-quantum plane and the first Weyl algebra ship as controls for the
-validators.
+quantum plane and the first Weyl algebra ship as controls, one without
+tails and one with.
+
+``validate_solvability`` checks, for every pair, lam != 0 and LM(f)
+below z_big z_small; a system runs it when built unless
+``validate=False``.  With PaperLex a lex order on exponent vectors, that
+is all the engine needs of its ordering: a product u*v then leads with
+u + v times a nonzero scalar.
 
 Every product goes through one algorithm, ``CommutationSystem.mono_mul(u, g)``:
 the left multiple of a polynomial g by a monomial u, found by folding u's
@@ -28,7 +34,6 @@ pass that bound.
 
 from __future__ import annotations
 
-import random
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -37,7 +42,6 @@ from typing import Optional
 
 from .errors import DegreeGuardExceeded, DimensionMismatch, InvalidSpec, MissingPair
 from .pbw import (
-    GREATER,
     LESS,
     Monomial,
     Polynomial,
@@ -112,9 +116,6 @@ class CommutationSystem:
                 )
 
     # -- multiplication -------------------------------------------------
-
-    def unit(self) -> Monomial:
-        return Monomial.unit(self.ngens)
 
     def gen_mono(self, g: int, power: int = 1) -> Monomial:
         return Monomial.gen(g, self.ngens, power)
@@ -362,156 +363,6 @@ def validate_solvability(sys: CommutationSystem) -> ValidationReport:
         ok=ok,
         checks=checks,
         meta={"system": sys.name or "", "ngens": sys.ngens, "pairs": len(checks)},
-    )
-
-
-def _random_monomial(rng: random.Random, ngens: int, max_degree: int) -> Monomial:
-    deg = rng.randint(0, max_degree)
-    exps = [0] * ngens
-    for _ in range(deg):
-        exps[rng.randrange(ngens)] += 1
-    return Monomial(exps)
-
-
-def _lm_under(p: Polynomial, compare) -> Monomial:
-    best = p.terms[0].mono
-    for _, m in p.terms[1:]:
-        if compare(m, best) == GREATER:
-            best = m
-    return best
-
-
-def validate_ordering(
-    sys: CommutationSystem,
-    compare=compare_monomials,
-    samples: int = 1000,
-    seed: int = 0,
-    sample_degree: int = 3,
-) -> ValidationReport:
-    """Sample the two multiplicative monomial-ordering axioms.
-
-    Products are straightened by the engine; LM is taken under ``compare``
-    (PaperLex unless a test injects another), so a broken comparator is
-    caught with a witness.  The generator-pair facts the axioms reduce to
-    are checked exhaustively.
-    """
-    rng = random.Random(seed)
-    checks = []
-    failures = 0
-
-    # exhaustive on generators: the unit is strictly minimal
-    unit = sys.unit()
-    bad = [
-        g
-        for g in range(sys.ngens)
-        if compare(unit, sys.gen_mono(g)) != LESS
-    ]
-    checks.append(
-        CheckResult(
-            "unit-minimal-generators",
-            not bad,
-            "" if not bad else f"1 not below {sys.gen_names[bad[0]]}",
-        )
-    )
-
-    # exhaustive on generator pairs: straightened z_g*z_h leads with the basis word
-    bad_pair = None
-    for h in range(sys.ngens):
-        for g in range(h):
-            p = sys.mono_mul(sys.gen_mono(g), sys.gen_poly(h))
-            expected = mono_sum(sys.gen_mono(g), sys.gen_mono(h))
-            if p.is_zero() or _lm_under(p, compare) != expected:
-                bad_pair = (g, h)
-                break
-        if bad_pair:
-            break
-    checks.append(
-        CheckResult(
-            "generator-pair-leading-words",
-            bad_pair is None,
-            ""
-            if bad_pair is None
-            else f"LM({sys.gen_names[bad_pair[0]]}*{sys.gen_names[bad_pair[1]]}) "
-            "is not the ordered word",
-        )
-    )
-
-    cond2_fail = cond3_fail = unit_fail = None
-    for _ in range(samples):
-        ga = _random_monomial(rng, sys.ngens, sample_degree)
-        al = _random_monomial(rng, sys.ngens, sample_degree)
-        be = _random_monomial(rng, sys.ngens, sample_degree)
-        et = _random_monomial(rng, sys.ngens, sample_degree)
-        et_poly = Polynomial.from_mono(et)
-
-        if unit_fail is None and not ga.is_unit():
-            if compare(unit, ga) != LESS:
-                unit_fail = ga
-
-        # condition (2): gamma = LM(alpha*beta*eta) dominates the inner factor
-        prod = sys.poly_mul(sys.mono_mul(al, Polynomial.from_mono(be)), et_poly)
-        if not prod.is_zero():
-            gamma = _lm_under(prod, compare)
-            if not gamma.is_unit() and be != gamma:
-                if compare(be, gamma) != LESS and cond2_fail is None:
-                    cond2_fail = (al, be, et, gamma)
-
-        # condition (3): order survives multiplication at the LM level
-        cmp_ab = compare(al, be)
-        if cmp_ab != 0:
-            lo, hi = (al, be) if cmp_ab == LESS else (be, al)
-            p_lo = sys.poly_mul(sys.mono_mul(ga, Polynomial.from_mono(lo)), et_poly)
-            p_hi = sys.poly_mul(sys.mono_mul(ga, Polynomial.from_mono(hi)), et_poly)
-            if not p_lo.is_zero() and not p_hi.is_zero():
-                lm_hi = _lm_under(p_hi, compare)
-                if not lm_hi.is_unit():
-                    if (
-                        compare(_lm_under(p_lo, compare), lm_hi) != LESS
-                        and cond3_fail is None
-                    ):
-                        cond3_fail = (ga, lo, hi, et)
-
-        if cond2_fail and cond3_fail and unit_fail:
-            break
-
-    checks.append(
-        CheckResult(
-            "unit-minimal-sampled",
-            unit_fail is None,
-            "" if unit_fail is None else f"1 not below {unit_fail.exps}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "condition-2-sampled",
-            cond2_fail is None,
-            ""
-            if cond2_fail is None
-            else f"beta {cond2_fail[1].exps} not below LM {cond2_fail[3].exps}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "condition-3-sampled",
-            cond3_fail is None,
-            ""
-            if cond3_fail is None
-            else f"LM order broken at gamma={cond3_fail[0].exps}, "
-            f"alpha={cond3_fail[1].exps}, beta={cond3_fail[2].exps}, "
-            f"eta={cond3_fail[3].exps}",
-        )
-    )
-    ok = all(c.ok for c in checks)
-    return ValidationReport(
-        kind="ordering",
-        ok=ok,
-        checks=checks,
-        meta={
-            "system": sys.name or "",
-            "samples": samples,
-            "seed": seed,
-            "sample_degree": sample_degree,
-        },
     )
 
 

@@ -369,5 +369,5 @@ def load_ideal(path) -> IdealFile:
 
 def save_ideal(ideal: IdealFile, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ideal.to_json_dict(), fh, indent=2, sort_keys=False)
+        json.dump(ideal.to_json_dict(), fh, indent=2)
         fh.write("\n")

@@ -185,12 +185,17 @@ def commutator(sys, f: Polynomial, g: Polynomial) -> Polynomial:
 # -- ordering oracle: comparison of the written words, divisibility ------
 
 
+def _word(m: Monomial) -> tuple[int, ...]:
+    """Generator indices of the descending word m stands for, highest first."""
+    return tuple(g for g in range(len(m) - 1, -1, -1) for _ in range(m[g]))
+
+
 def compare_word_lex(a: Monomial, b: Monomial) -> int:
     """Word-form comparison: proper prefix is smaller, else the first
     differing letter decides by generator order."""
     if a.ngens != b.ngens:
         raise DimensionMismatch(f"monomials over {a.ngens} and {b.ngens} generators")
-    wa, wb = a.word(), b.word()
+    wa, wb = _word(a), _word(b)
     for x, y in zip(wa, wb):
         if x != y:
             return GREATER if x > y else LESS
@@ -247,7 +252,7 @@ def _word_to_mono(word, ngens):
 
 def naive_mono_mul(sys, u: Monomial, v: Monomial) -> Polynomial:
     """Rewrite the concatenated word pair by pair until descending."""
-    pending = {u.word() + v.word(): ONE}
+    pending = {_word(u) + _word(v): ONE}
     done: dict[tuple, QRat] = {}
     while pending:
         word, coeff = pending.popitem()
@@ -262,7 +267,7 @@ def naive_mono_mul(sys, u: Monomial, v: Monomial) -> Polynomial:
                 add = lam * coeff
                 pending[swapped] = add if prev is None else prev + add
                 for cf, mf in f.terms:
-                    spliced = word[:k] + mf.word() + word[k + 2:]
+                    spliced = word[:k] + _word(mf) + word[k + 2:]
                     prev = pending.get(spliced)
                     add = coeff * cf
                     pending[spliced] = add if prev is None else prev + add
@@ -299,7 +304,7 @@ def rebuild_left_divide(f: Polynomial, G, sys):
     rem_terms = []
     p = f
     while not p.is_zero():
-        c, m = p.lt()
+        c, m = p.terms[0]
         for k, g in enumerate(G):
             if mono_divides(g.lm(), m):
                 delta = Monomial([y - x for x, y in zip(g.lm().exps, m.exps)])
@@ -328,7 +333,7 @@ def fixpoint_interreduce(elems, sys) -> list[Polynomial]:
     changed = True
     while changed:
         changed = False
-        items.sort(key=lambda p: p.lm().sort_key())
+        items.sort(key=lambda p: p.lm()[::-1])
         for t, p in enumerate(items):
             others = items[:t] + items[t + 1 :]
             if not others:
@@ -342,7 +347,7 @@ def fixpoint_interreduce(elems, sys) -> list[Polynomial]:
             else:
                 items[t] = r.monic()
             break
-    items.sort(key=lambda p: p.lm().sort_key())
+    items.sort(key=lambda p: p.lm()[::-1])
     return items
 
 
@@ -367,7 +372,7 @@ def _reduces_to_zero(f: Polynomial, G, sys) -> bool:
     """
     p = f
     while not p.is_zero():
-        c, m = p.lt()
+        c, m = p.terms[0]
         g = next((g for g in G if mono_divides(g.lm(), m)), None)
         if g is None:
             return False

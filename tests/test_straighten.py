@@ -1,4 +1,4 @@
-"""Straightening engine: normal-form products and the table validators."""
+"""Straightening engine: normal-form products and the solvability check."""
 
 import gc
 import random
@@ -22,7 +22,6 @@ from quantmat.pbw import (
     Monomial,
     Polynomial,
     Term,
-    compare_monomials,
     mono_sum,
 )
 from quantmat.qfield import ONE, SYMBOLIC, Q, QMode, QRat, ZERO
@@ -30,7 +29,6 @@ from quantmat.straighten import (
     CommutationSystem,
     quantum_plane,
     scalar_mul,
-    validate_ordering,
     validate_solvability,
     weyl_algebra,
 )
@@ -279,13 +277,16 @@ def test_degree_homogeneity(sys2, sys3):
             assert {m.degree for _, m in p.terms} == {u.degree + v.degree}
 
 
-def test_lm_multiplicative(sys2):
+def test_lm_multiplicative(sys2, sys3):
+    # LM(f*g) = LM(f) + LM(g) in every shipped system: what a solvable
+    # table gives PaperLex, so the ordering needs no check of its own
     rng = random.Random(25)
-    for _ in range(200):
-        f = rand_poly(rng, 4, max_degree=3, max_terms=3)
-        g = rand_poly(rng, 4, max_degree=3, max_terms=3)
-        p = sys2.poly_mul(f, g)
-        assert p.lm() == mono_sum(f.lm(), g.lm())
+    for sys in (sys2, sys3, quantum_plane(), weyl_algebra()):
+        for _ in range(200):
+            f = rand_poly(rng, sys.ngens, max_degree=3, max_terms=3)
+            g = rand_poly(rng, sys.ngens, max_degree=3, max_terms=3)
+            p = sys.poly_mul(f, g)
+            assert p.lm() == mono_sum(f.lm(), g.lm())
 
 
 def test_validate_solvability_passes(sys2):
@@ -330,21 +331,6 @@ def test_tampered_tail_not_below(sys2):
     assert not report.ok
     assert report.failures()[0].witness == "LM(f) = (0, 0, 0, 2) not below (1, 0, 0, 1)"
     assert report.failures()[0].name == "z[1,1]*z[2,2]"
-
-
-def test_validate_ordering_passes(sys2, sys3):
-    for sys in (sys2, sys3):
-        report = validate_ordering(sys, samples=300, seed=5)
-        assert report.ok
-        assert report.to_json_dict()["verdict"] == "PASS"
-
-
-def test_validate_ordering_catches_reversed_comparator(sys2):
-    report = validate_ordering(
-        sys2, compare=lambda a, b: -compare_monomials(a, b), samples=300, seed=5
-    )
-    assert not report.ok
-    assert report.failures()
 
 
 def test_cache_effectiveness(sys2):

@@ -114,7 +114,7 @@ def test_format_frozen(sys2):
     assert format_poly(det, sys2.gen_names) == "z[2,2]*z[1,1] - 1/q*z[2,1]*z[1,2]"
     assert format_poly(det - det, sys2.gen_names) == "0"
     assert format_mono(det.lm(), sys2.gen_names) == "z[2,2]*z[1,1]"
-    assert format_mono(sys2.unit(), sys2.gen_names) == "1"
+    assert format_mono(Monomial.unit(sys2.ngens), sys2.gen_names) == "1"
 
 
 def test_format_qrat_frozen():
