@@ -9,6 +9,13 @@ takes pairs smallest lcm first, drops a pair by Buchberger's chain
 criterion when two treated pairs through a third element account for it,
 charges the pair budget only for S-polynomials formed, and ends with one
 forward sweep of interreduction.
+
+``left_spoly`` and ``left_divide`` share their cores with completion:
+``_spair`` sums the two scaled tails of an S-pair into one dict, without
+the heads that cancel, and ``_reduce`` divides such a dict in place.
+Completion hands the S-pair's dict straight to ``_reduce``, so it builds
+no S-polynomial and no quotient; ``left_divide`` adds quotients, only for
+the divisors a step used.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import EmptyBasis, InvalidSpec, PairLimitExceeded
 from .pbw import (
@@ -28,9 +35,10 @@ from .pbw import (
     _support_mask,
     mono_lcm,
     mono_sub,
+    poly_from_dict,
 )
 from .qfield import QRat
-from .straighten import CommutationSystem, scalar_mul
+from .straighten import CommutationSystem
 
 DEFAULT_MAX_PAIRS = 10_000
 
@@ -82,13 +90,36 @@ def left_divide(
 
     The divisor for each step is the first element of G whose LM divides
     the current leading monomial; no remainder term is divisible by any
-    LM(G[k]).  The identity reconstructs exactly under poly_mul.
+    LM(G[k]).  The identity reconstructs exactly under poly_mul.  The
+    steps are those of ``_reduce``; a divisor no step used gets the zero
+    quotient, one object shared by all of them.
+    """
+    _check_divisors(G)
+    quot: dict[int, list[Term]] = {}
+    rem = _reduce({m: c for c, m in f.terms}, G, sys, quot)
+    zero = Polynomial.zero(f.ngens)
+    quotients = [zero] * len(G)
+    for k, ts in quot.items():
+        # deltas decrease strictly with m, so each list is sorted
+        quotients[k] = Polynomial(tuple(ts), f.ngens)
+    return quotients, rem
 
-    The running remainder is a dict from monomial to coefficient with a
-    heap of its monomials, largest first.  A step pops the leading
-    monomial and subtracts the scaled tail of the lifted divisor into the
-    dict; nothing is re-sorted.  A monomial that cancels to zero leaves
-    its heap entry behind, and the pop skips it.
+
+def _reduce(
+    acc: dict[Monomial, QRat],
+    G: Sequence[Polynomial],
+    sys: CommutationSystem,
+    quot: Optional[dict[int, list[Term]]] = None,
+) -> Polynomial:
+    """The remainder of the polynomial acc holds on division by G.
+
+    acc maps monomials to nonzero coefficients and becomes the running
+    remainder, with a heap of its monomials, largest first.  A step pops
+    the leading monomial and subtracts the scaled tail of the lifted
+    divisor into the dict; nothing is re-sorted.  A monomial that cancels
+    to zero leaves its heap entry behind, and the pop skips it.  When quot
+    is given, each step appends its quotient term to quot[k] for the
+    divisor G[k] it used.
 
     Each divisor's LM support, a generator bitmask and its (index,
     exponent) pairs, is cached on the divisor, so repeated divisions by
@@ -96,19 +127,13 @@ def left_divide(
     monomial's mask once, skips every divisor whose mask has a bit the
     monomial lacks, and compares exponents only for the rest.
     """
-    _check_divisors(G)
-    ngens = f.ngens
     supports = [g._lm_support() for g in G]
-    quot_terms: list[list[Term]] = [[] for _ in G]
     rem_terms: list[Term] = []
-    acc: dict[Monomial, QRat] = {}
-    # the terms of f descend, so their negated keys ascend: already a heap
-    heap = []
-    for c, m in f.terms:
-        acc[m] = c
-        heap.append((_heap_key(m), m))
+    heap = [(_heap_key(m), m) for m in acc]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = pop(heap)[1]
         c = acc.pop(m, None)
         if c is None:
             continue  # cancelled after it was queued
@@ -125,20 +150,19 @@ def left_divide(
                 prev = acc.get(mh)
                 if prev is None:
                     acc[mh] = neg * ch
-                    heapq.heappush(heap, (_heap_key(mh), mh))
+                    push(heap, (_heap_key(mh), mh))
                     continue
                 s = prev + neg * ch
                 if s.is_zero():
                     del acc[mh]
                 else:
                     acc[mh] = s
-            # deltas decrease strictly with m, so the list stays sorted
-            quot_terms[k].append(_new_tuple(Term, (coef, delta)))
+            if quot is not None:
+                quot.setdefault(k, []).append(_new_tuple(Term, (coef, delta)))
             break
         else:
             rem_terms.append(_new_tuple(Term, (c, m)))
-    quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
-    return quotients, Polynomial(tuple(rem_terms), ngens)
+    return Polynomial(tuple(rem_terms), sys.ngens)
 
 
 def _heap_key(m: Monomial) -> tuple[int, ...]:
@@ -152,10 +176,36 @@ def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polyno
     """Lift both elements to the lcm of their LMs and cancel the heads."""
     if g1.is_zero() or g2.is_zero():
         raise InvalidSpec("S-polynomial of a zero polynomial")
-    gamma = mono_lcm(g1.lm(), g2.lm())
+    return poly_from_dict(_spair(g1, g2, mono_lcm(g1.lm(), g2.lm()), sys), g1.ngens)
+
+
+def _spair(
+    g1: Polynomial, g2: Polynomial, gamma: Monomial, sys: CommutationSystem
+) -> dict:
+    """h1/lc(h1) - h2/lc(h2), h_k the lift of g_k to gamma, the lcm of the
+    LMs, as a dict of its nonzero terms; the heads cancel and are never
+    added."""
     h1 = _lift(g1, mono_sub(gamma, g1.lm()), sys)
     h2 = _lift(g2, mono_sub(gamma, g2.lm()), sys)
-    return scalar_mul(h1.lc().inv(), h1) - scalar_mul(h2.lc().inv(), h2)
+    lc = h1.lc()
+    if lc.is_one():
+        acc = {m: c for c, m in h1.terms[1:]}
+    else:
+        inv = lc.inv()
+        acc = {m: inv * c for c, m in h1.terms[1:]}
+    neg = -h2.lc().inv()
+    for c, m in h2.terms[1:]:
+        c = neg * c
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = c
+            continue
+        s = prev + c
+        if s.is_zero():
+            del acc[m]
+        else:
+            acc[m] = s
+    return acc
 
 
 def _lift(g: Polynomial, delta: Monomial, sys: CommutationSystem) -> Polynomial:
@@ -216,9 +266,11 @@ def buchberger(
             raise PairLimitExceeded(
                 f"pair budget {max_pairs} exhausted", partial=partial
             )
-        s = left_spoly(elems[i], elems[j], sys)
-        if not s.is_zero():
-            _, s = left_divide(s, [elems[t] for _, t in view], sys)
+        acc = _spair(elems[i], elems[j], lcm, sys)
+        if not acc:
+            drops += 1
+            continue
+        s = _reduce(acc, [elems[t] for _, t in view], sys)
         if s.is_zero():
             drops += 1
             continue

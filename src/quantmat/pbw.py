@@ -136,7 +136,7 @@ def _support_mask(exps: Sequence[int]) -> int:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     _check_same_ngens(a, b)
-    return Monomial([max(x, y) for x, y in zip(a, b)])
+    return Monomial([x if x > y else y for x, y in zip(a, b)])
 
 
 def mono_sum(a: Monomial, b: Monomial) -> Monomial:

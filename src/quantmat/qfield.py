@@ -41,6 +41,7 @@ QPoly = tuple
 
 P_ZERO: QPoly = ()
 P_ONE: QPoly = (1,)
+P_MINUS_ONE: QPoly = (-1,)
 
 
 def pstrip(coeffs) -> QPoly:
@@ -61,6 +62,8 @@ def padd(a: QPoly, b: QPoly) -> QPoly:
 
 
 def pneg(a: QPoly) -> QPoly:
+    if len(a) == 1:
+        return (-a[0],)
     return tuple([-c for c in a])
 
 
@@ -359,6 +362,12 @@ class QRat:
         if not a or not c:
             return ZERO
         v = self._v + other._v
+        # a factor +-q^k (lambda = q^k, a negated division coefficient)
+        # only moves the power and perhaps the sign of the other one
+        if b == P_ONE and (a == P_ONE or a == P_MINUS_ONE):
+            return _make(c if a == P_ONE else pneg(c), d, v)
+        if d == P_ONE and (c == P_ONE or c == P_MINUS_ONE):
+            return _make(a if c == P_ONE else pneg(a), b, v)
         if len(a) == len(b) == len(c) == len(d) == 1:
             return _rational(a[0] * c[0], b[0] * d[0], v)
         # a/b and c/d are reduced, so only a, d and c, b can share factors

@@ -13,15 +13,19 @@ below z_big z_small; a system runs it when built unless
 is all the engine needs of its ordering: a product u*v then leads with
 u + v times a nonzero scalar.
 
-Every product goes through one algorithm, ``CommutationSystem.mono_mul(u, g)``:
-the left multiple of a polynomial g by a monomial u, found by folding u's
-letters over all of g, lowest letter first, and merging after each letter
-into an unsorted dict; only the finished product is sorted.
-A letter at or above a word's top letter only raises its exponent; any
-other letter times a basis word comes from a memoized table lookup.  In
-M_q(n) most pairs swap with a power of q and no tail, so a memo miss moves
-the letter past all such letters of the word in one pass and recurses
-only at the first letter whose relation has a tail.
+Every product goes through one algorithm, the fold behind
+``CommutationSystem.mono_mul(u, g)``: the left multiple of a polynomial g
+by a monomial u, found by folding u's letters over all of g, lowest
+letter first, and merging after each letter into an unsorted dict; only
+the finished product is sorted.  A letter at or above a word's top letter
+only raises its exponent; any other letter times a basis word comes from
+the letter memo, whose values are unsorted (coefficient, monomial) pairs
+that the fold merges as they are.  In M_q(n) most pairs swap with a power
+of q and no tail, so a memo miss moves the letter past all such letters
+of the word in one pass and recurses only at the first letter whose
+relation has a tail; that tail's terms are folded over the rest of the
+word by the same fold, in place, under the same degree guard as
+``mono_mul``.
 
 Completion lifts the same element by the same monomial many times (an
 S-pair and a later division step, or two divisions), so each system also
@@ -99,10 +103,13 @@ class CommutationSystem:
         # system and its memo are freed at once, not by the cycle collector
         ref = weakref.ref(self)
 
-        def gen_mul_mono(g: int, mono: Monomial) -> Polynomial:
+        def gen_mul_mono(g: int, mono: Monomial) -> tuple:
             return ref()._gen_mul_mono_impl(g, mono)
 
         self._gen_mul_mono = lru_cache(maxsize=1 << 16)(gen_mul_mono)
+        # per generator g, filled on its first letter-memo miss: (h, lam,
+        # tail terms) of every pair (h, g) with h above g, top down
+        self._rows: list[Optional[list]] = [None] * ngens
         # (g, u) -> u*g; the lock guards the stores and the term count
         self._products: dict[tuple[Polynomial, Monomial], Polynomial] = {}
         self._product_terms = 0
@@ -130,8 +137,9 @@ class CommutationSystem:
                 f"product degree {degree} exceeds guard {self.max_degree}"
             )
 
-    def _gen_mul_mono_impl(self, g: int, mono: Monomial) -> Polynomial:
-        """Normal form of z_g * mono, mono a basis word.
+    def _gen_mul_mono_impl(self, g: int, mono: Monomial) -> tuple:
+        """Normal form of z_g * mono, mono a basis word, as unsorted
+        (coefficient, monomial) pairs with no zero coefficient.
 
         One pass over the letters of mono above g, from the top down: a
         letter z_h whose pair has no tail only scales, z_g z_h^e =
@@ -140,19 +148,28 @@ class CommutationSystem:
 
             z_g * mono = scale P (lam z_h (z_g rest) + f rest),
 
-        one memo lookup for z_g rest and one product f*rest.  Every term in
-        the bracket has its letters at or below h (solvability puts LM(f)
-        below z_h z_g), so z_h and P prepend by adding exponents and the
-        terms stay sorted.
+        one memo lookup for z_g rest, and each term c*w of f folded over
+        rest by ``_fold`` in place, with no product memo and no sorting,
+        under the degree guard of w*rest: PaperLex is not
+        degree-compatible, so a tail may be of higher degree than its
+        pair.  Every term in the bracket has its letters at or below h
+        (solvability puts LM(f) below z_h z_g), so z_h and P prepend: a
+        term keeps its exponents up to h and takes P's above.  The pairs
+        (h, lam, f) above g are read once per system into a row.
         """
-        table = self.table
+        row = self._rows[g]
+        if row is None:
+            row = self._rows[g] = [
+                (h, lam, f.terms)
+                for h in range(self.ngens - 1, g, -1)
+                for lam, f in (self.table[(h, g)],)
+            ]
         scale = ONE
-        for h in range(len(mono) - 1, g, -1):
+        for h, lam, tail in row:
             e = mono[h]
             if not e:
                 continue
-            lam, f = table[(h, g)]
-            if f.terms:
+            if tail:
                 break
             if not lam.is_one():
                 for _ in range(e):
@@ -162,27 +179,33 @@ class CommutationSystem:
             out = list(mono)
             out[g] += 1
             # a lam = 0 of a table built without validation gives zero here
-            return Polynomial.from_mono(Monomial(out), scale)
+            return () if scale.is_zero() else ((scale, Monomial(out)),)
         if scale.is_zero():
-            return Polynomial.zero(self.ngens)
-        above = (0,) * (h + 1) + mono[h + 1 :]
-        rest = Monomial(mono[:h] + (e - 1,) + (0,) * (len(mono) - h - 1))
-        lifted = list(above)
-        lifted[h] = 1
+            return ()
+        above = mono[h + 1 :]
+        rest = Monomial(mono[:h] + (e - 1,) + (0,) * len(above))
         head = scale if lam.is_one() else scale * lam
         acc: dict[Monomial, QRat] = {}
         if not head.is_zero():
             one = head.is_one()
-            for c, m in self._gen_mul_mono(g, rest).terms:
-                key = Monomial([x + y for x, y in zip(m, lifted)])
+            for c, m in self._gen_mul_mono(g, rest):
+                key = Monomial(m[:h] + (m[h] + 1,) + above)
                 acc[key] = c if one else head * c
         one = scale.is_one()
-        for c, m in self.poly_mul(f, Polynomial.from_mono(rest)).terms:
-            key = Monomial([x + y for x, y in zip(m, above)])
-            cc = c if one else scale * c
-            prev = acc.get(key)
-            acc[key] = cc if prev is None else prev + cc
-        return poly_from_dict(acc, self.ngens)
+        degree = sum(rest)
+        for c, w in tail:
+            self.check_degree(sum(w) + degree)
+            c = c if one else scale * c
+            c_one = c.is_one()
+            for m, cm in self._fold(w, {rest: ONE}).items():
+                if cm.is_zero():
+                    continue
+                key = Monomial(m[: h + 1] + above)
+                if not c_one:
+                    cm = c if cm.is_one() else c * cm
+                prev = acc.get(key)
+                acc[key] = cm if prev is None else prev + cm
+        return tuple([(c, m) for m, c in acc.items() if not c.is_zero()])
 
     def mono_mul(self, u: Monomial, g: Polynomial) -> Polynomial:
         """Normal form of the left multiple u*g.
@@ -209,19 +232,22 @@ class CommutationSystem:
         key = (g, u)
         product = self._products.get(key)
         if product is None:
-            product = self._fold(u, g)
+            product = poly_from_dict(
+                self._fold(u, {m: c for c, m in g.terms}), self.ngens
+            )
             self._store_product(key, product)
         return product
 
-    def _fold(self, u: Monomial, g: Polynomial) -> Polynomial:
-        # fold u's letters over all of g, lowest first: u*g = z_1(z_2(...(z_r*g))).
-        # Between letters the running product is an unsorted dict, whose
-        # zero entries the next letter skips; only the full product is
-        # sorted and boxed.  Sums in Q(q) are exact and canonical, so the
-        # order terms merge in cannot change the result.
+    def _fold(self, u: Monomial, acc: dict) -> dict:
+        # fold u's letters over the terms of acc, lowest first:
+        # u*g = z_1(z_2(...(z_r*g))).  Between letters the running product
+        # is an unsorted dict, whose zero entries the next letter skips;
+        # the caller sorts and boxes the result.  Sums in Q(q) are exact
+        # and canonical, so the order terms merge in cannot change it.
         gen_mul = self._gen_mul_mono
-        acc = {m: c for c, m in g.terms}
         for letter, e in enumerate(u):
+            if not e:
+                continue
             above = letter + 1
             for _ in range(e):
                 running, acc = acc, {}
@@ -236,7 +262,7 @@ class CommutationSystem:
                     key = Monomial(out)
                     prev = acc.get(key)
                     acc[key] = c if prev is None else prev + c
-        return poly_from_dict(acc, self.ngens)
+        return acc
 
     def _store_product(
         self, key: tuple[Polynomial, Monomial], product: Polynomial
@@ -261,7 +287,7 @@ class CommutationSystem:
             )
         acc: dict[Monomial, QRat] = {}
         for c, m in f.terms:
-            _add_scaled(acc, c, self.mono_mul(m, g))
+            _add_scaled(acc, c, self.mono_mul(m, g).terms)
         return poly_from_dict(acc, self.ngens)
 
     def cache_info(self):
@@ -272,14 +298,15 @@ class CommutationSystem:
         return f"CommutationSystem({label}, q={self.qmode})"
 
 
-def _add_scaled(acc: dict[Monomial, QRat], c: QRat, p: Polynomial) -> None:
-    """acc += c*p, on an unsorted accumulator that poly_from_dict finishes.
+def _add_scaled(acc: dict[Monomial, QRat], c: QRat, terms) -> None:
+    """acc += c*p for the (coefficient, monomial) pairs of p, on an unsorted
+    accumulator that poly_from_dict finishes.
 
     A product with a factor of one is not formed: c is one for the leading
     term of every monic element, and so are many letter products' terms.
     """
     one = c.is_one()
-    for cp, m in p.terms:
+    for cp, m in terms:
         if not one:
             cp = c if cp.is_one() else c * cp
         prev = acc.get(m)

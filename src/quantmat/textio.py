@@ -12,7 +12,8 @@ Expressions are evaluated as parsed: each grammar rule returns the
 canonical polynomial of the text it read, and no syntax tree is built.
 Errors are therefore reported in text order; an evaluation error (the
 degree guard, a non-scalar divisor, a numeric q^k past
-``_MAX_QPOWER_BITS``) precedes any syntax error further right.
+``_MAX_QPOWER_BITS``, a symbolic one past ``_MAX_SYMBOLIC_QPOWER``)
+precedes any syntax error further right.
 
 Formatting emits terms in descending basis order and round-trips:
 parse_poly(format_poly(p)) == p exactly.
@@ -142,6 +143,10 @@ _SYMBOLS = set("+-*/^()[],")
 # At numeric q, q^k is an exact rational of about |k| times the bits of q;
 # a written power beyond this many bits is rejected instead of computed.
 _MAX_QPOWER_BITS = 1 << 20
+# At symbolic q, q^k is kept as its exponent, but a sum of two powers pads
+# a coefficient tuple to their distance; a written |k| beyond this bound is
+# rejected, so no exponent overflows an index.
+_MAX_SYMBOLIC_QPOWER = 1 << 31
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -279,7 +284,11 @@ class _Parser:
     def _check_q_power(self, power: int, pos: int) -> None:
         q = self.sys.qmode.value
         if q is None:
-            return  # symbolic q^k is stored as its exponent
+            if abs(power) > _MAX_SYMBOLIC_QPOWER:
+                raise ParseError(
+                    f"q^{power} exceeds the exponent bound {_MAX_SYMBOLIC_QPOWER}", pos
+                )
+            return
         bits = abs(power) * max(q.numerator.bit_length(), q.denominator.bit_length())
         if bits > _MAX_QPOWER_BITS:
             raise ParseError(f"q^{power} at q = {q} exceeds {_MAX_QPOWER_BITS} bits", pos)

@@ -5,12 +5,13 @@ word-by-word rewriting instead of memoized generator folds, dense Fraction
 linear algebra at rational q values instead of symbolic division, finite
 differences of the Hilbert function instead of subset search,
 enumeration of standard monomials instead of the Hilbert-series numerator,
-every S-pair of a basis instead of completion's pair criteria, a
-remainder rebuilt at every division step instead of a heap-ordered
-accumulator, interreduction that restarts after every change instead of
-one forward sweep, and Q(q) as Fraction polynomials reduced by the monic
-Euclidean algorithm instead of coprime integer polynomials reduced by a
-gcd in Z[q].
+every S-pair of a basis instead of completion's pair criteria, an
+S-polynomial as the difference of two whole scaled lifts instead of one
+accumulator of their tails, a remainder rebuilt at every division step
+instead of a heap-ordered accumulator, interreduction that restarts
+after every change instead of one forward sweep, and Q(q) as Fraction
+polynomials reduced by the monic Euclidean algorithm instead of coprime
+integer polynomials reduced by a gcd in Z[q].
 """
 
 from __future__ import annotations
@@ -30,8 +31,17 @@ from quantmat import (
 )
 from quantmat.errors import DimensionMismatch, DivisionByZero
 from quantmat.groebner import left_divide
-from quantmat.pbw import EQUAL, GREATER, LESS, Term, poly_from_dict
+from quantmat.pbw import (
+    EQUAL,
+    GREATER,
+    LESS,
+    Term,
+    mono_lcm,
+    mono_sub,
+    poly_from_dict,
+)
 from quantmat.qfield import ONE
+from quantmat.straighten import scalar_mul
 
 
 # -- Q(q) over the rationals: monic Euclid --------------------------------
@@ -318,6 +328,22 @@ def rebuild_left_divide(f: Polynomial, G, sys):
             p = Polynomial(p.terms[1:], ngens)
     quotients = [Polynomial(tuple(ts), ngens) for ts in quot_terms]
     return quotients, Polynomial(tuple(rem_terms), ngens)
+
+
+# -- S-polynomials: whole scaled lifts subtracted --------------------------
+
+
+def spoly_reference(g1: Polynomial, g2: Polynomial, sys) -> Polynomial:
+    """Reference left S-polynomial: lift both elements to the lcm of their
+    LMs with the engine's mono_mul, scale each lift to a monic head, and
+    subtract the two whole polynomials, heads included.  The engine builds
+    the difference of the tails in one accumulator instead."""
+    gamma = mono_lcm(g1.lm(), g2.lm())
+    h1, h2 = (
+        g if (u := mono_sub(gamma, g.lm())).is_unit() else sys.mono_mul(u, g)
+        for g in (g1, g2)
+    )
+    return scalar_mul(h1.lc().inv(), h1) - scalar_mul(h2.lc().inv(), h2)
 
 
 # -- interreduction: restart after every change ---------------------------

@@ -260,6 +260,20 @@ def test_numeric_q_power_past_the_bit_bound_exits_2_at_once(capsys):
     assert err == "error: q^1000000000 at q = 3 exceeds 1048576 bits (at position 2)\n"
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_symbolic_q_power_past_the_exponent_bound_exits_2(capsys, sign):
+    # a 26-digit exponent once overflowed an index while padding the sum
+    k = sign + "1" + "0" * 25
+    code, out, err = run(capsys, "nf", "--n", "2", f"q^{k} + 1")
+    assert (code, out) == (2, "")
+    assert err == f"error: q^{k} exceeds the exponent bound 2147483648 (at position 2)\n"
+    # the bound itself is accepted
+    printed = "1/q^2147483648" if sign else "q^2147483648"
+    assert run(capsys, "nf", "--n", "2", f"q^{sign}2147483648*z[1,1]") == (
+        0, f"{printed}*z[1,1]\n", ""
+    )
+
+
 def test_negative_pair_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gb", *DIAG, "--max-pairs", "-1")
     assert (code, out, err) == (2, "", "error: pair budget must be >= 0, got -1\n")

@@ -36,6 +36,7 @@ from oracles import (
     rand_poly,
     rebuild_left_divide,
     specialize_terms,
+    spoly_reference,
 )
 from test_straighten import _mq3, _poly3
 
@@ -157,6 +158,33 @@ def test_spoly_after_adjoining_hook_word(sys2):
     s = left_spoly(g1, g2, sys2)
     qs, r = left_divide(s, [g1, g2, _gp(sys2, 3)], sys2)
     assert r.is_zero()
+
+
+_SPOLY_SYSTEMS = {
+    "M_q(2) symbolic": lambda: build_mq(MqSpec(2)),
+    "M_q(2) q=2": lambda: build_mq(MqSpec(2, QMode.numeric(2))),
+    "quantum plane": quantum_plane,
+    "Weyl algebra": weyl_algebra,
+}
+
+
+@pytest.mark.parametrize("name", list(_SPOLY_SYSTEMS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_spoly_matches_reference(name, data):
+    # left_spoly sums the two scaled tails in one accumulator; the
+    # reference subtracts the two whole scaled lifts
+    sys = _SPOLY_SYSTEMS[name]()
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def element():
+        p = rand_poly(rng, sys.ngens, max_degree=3, max_terms=4)
+        q = sys.qmode.value
+        return p if q is None else specialize_terms(p, q, sys.ngens)
+
+    g1, g2 = element(), element()
+    assert left_spoly(g1, g2, sys) == spoly_reference(g1, g2, sys)
+    assert left_spoly(g1, g1, sys).is_zero()
 
 
 def test_buchberger_diagonal_fixture(sys2):

@@ -260,8 +260,16 @@ def _times_q_power(raw, k):
 
 
 # the shifts reach sums of unequal powers of q, and sums of equal powers
-# whose constant terms cancel
-_RAW = st.builds(_times_q_power, st.tuples(_POLY, _NONZERO), st.integers(-4, 4))
+# whose constant terms cancel; the signed powers +-q^k reach the product
+# that only shifts the power, from either side of `*`
+_RAW = st.one_of(
+    st.builds(_times_q_power, st.tuples(_POLY, _NONZERO), st.integers(-4, 4)),
+    st.builds(
+        _times_q_power,
+        st.tuples(st.sampled_from([(1,), (-1,)]), st.just((1,))),
+        st.integers(-6, 6),
+    ),
+)
 _POINTS = (Fraction(2), Fraction(-1, 2), Fraction(1), Fraction(3))
 
 

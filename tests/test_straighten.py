@@ -450,6 +450,24 @@ def test_degree_guard():
         qp.mono_mul(big, Polynomial.from_mono(Monomial((0, 4))))
 
 
+def test_degree_guard_holds_inside_a_tail_of_higher_degree():
+    # PaperLex is not degree-compatible, so x0*x1 = x1*x0 + x0^3 is a
+    # solvable table: x0^3 lies below x1*x0.  Straightening x0*x1 meets
+    # the degree-3 tail, which the guard must see although deg u + deg g
+    # is only 2.
+    x0, x1 = Monomial((1, 0)), Monomial((0, 1))
+    table = {(1, 0): (ONE, Polynomial.from_mono(Monomial((3, 0))))}
+    sys = CommutationSystem(2, table, max_degree=2)
+    with pytest.raises(DegreeGuardExceeded, match="product degree 3 exceeds guard 2"):
+        sys.mono_mul(x0, Polynomial.from_mono(x1))
+    roomy = CommutationSystem(2, table, max_degree=3)
+    p = roomy.mono_mul(x0, Polynomial.from_mono(x1))
+    assert p == naive_mono_mul(roomy, x0, x1)
+    assert p == poly_canonicalize(
+        [Term(ONE, Monomial((1, 1))), Term(ONE, Monomial((3, 0)))], 2
+    )
+
+
 def test_degree_guard_counts_the_whole_polynomial():
     # u*g is guarded by deg u + deg g, whichever term of g carries the degree
     qp = quantum_plane(max_degree=6)

@@ -64,13 +64,14 @@ def test_outhash_probe_seed_1(q, budget, digest):
     assert len(lines) == 2 and lines[1].startswith("seconds ")
 
 
-def test_abround_probe_against_this_checkout():
+def _abround_against_this_checkout(*args) -> None:
     # both sides load this checkout's engine, so the outputs must agree
     proc = subprocess.run(
         [
             sys.executable,
             str(TOOLS / "abround.py"),
             *("--against", str(TOOLS.parent), "--seed", "1", "--seconds", "1"),
+            *args,
         ],
         capture_output=True,
         text=True,
@@ -106,6 +107,16 @@ def test_abround_probe_against_this_checkout():
             "instance", "base", "ms", "head", "ms", "head/base"
         ]
         assert float(w[3]) >= 0 and float(w[6]) >= 0
+
+
+def test_abround_probe_against_this_checkout():
+    _abround_against_this_checkout()
+
+
+def test_abround_probe_at_q_2_against_this_checkout():
+    # the q = 2 path of `mq gb`, with the gb_q2 budget of the swell family
+    _abround_against_this_checkout("--q", "2")
+
 
 def test_abround_probe_exits_1_when_outputs_differ(tmp_path):
     engine = tmp_path / "src" / "quantmat"

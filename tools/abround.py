@@ -1,14 +1,16 @@
-"""In-process A/B timing of whole `gb_sym` rounds against another checkout.
+"""In-process A/B timing of whole `mq gb` rounds against another checkout.
 
-    python tools/abround.py --against DIR [--seed N] [--seconds S]
+    python tools/abround.py --against DIR [--seed N] [--seconds S] [--q sym|2]
 
 Whole-run benchmark figures drift between runs on a shared machine; two
 engines timed in one process, round by round, see the same drift.  The
 script loads DIR/src/quantmat (the base) and this checkout's
-src/quantmat (the head) under two package names, builds the `gb_sym`
+src/quantmat (the head) under two package names, builds the `mq gb`
 instances of `gb_instances` in perfbench/workloads.py for the seed, and
 runs `mq gb` on every instance through each package's library, as
-`gb_op` does.  It exits 1 if the two sides render a different basis or
+`gb_op` does: at symbolic q with the `gb_sym` pair budget of the swell
+family (`--q sym`, the default), or at q = 2 with the `gb_q2` budget
+(`--q 2`).  It exits 1 if the two sides render a different basis or
 partial flag for any instance.  Then it alternates whole rounds, base
 and head in turn, until S seconds have passed (at least one pair of
 rounds); every instance in a round is timed by process CPU time, and a
@@ -35,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from workloads import SYM_BUDGET, gb_instances  # noqa: E402
+from workloads import Q2_BUDGET, SYM_BUDGET, gb_instances  # noqa: E402
 
 
 def load_package(name: str, src: Path):
@@ -52,9 +54,11 @@ def load_package(name: str, src: Path):
     return pkg
 
 
-def gb_output(pkg, inst) -> str:
-    """`mq gb` at symbolic q on one instance: partial flag and basis text."""
-    system = pkg.build_mq(pkg.MqSpec(3, pkg.SYMBOLIC))
+def gb_output(pkg, inst, q: str) -> str:
+    """`mq gb` on one instance, at symbolic q or q = 2: partial flag and
+    basis text."""
+    qmode = pkg.SYMBOLIC if q == "sym" else pkg.QMode.numeric(2)
+    system = pkg.build_mq(pkg.MqSpec(3, qmode))
     gens = [pkg.parse_poly(t, system) for t in inst.gens]
     try:
         basis = pkg.buchberger(gens, system, max_pairs=inst.max_pairs)
@@ -66,13 +70,13 @@ def gb_output(pkg, inst) -> str:
     return f"partial {partial}\n{text}"
 
 
-def timed_round(pkg, instances) -> list[float]:
+def timed_round(pkg, instances, q: str) -> list[float]:
     """Process CPU seconds of each instance, in one round over all of them."""
     gc.collect()
     times = []
     for inst in instances:
         start = time.process_time()
-        gb_output(pkg, inst)
+        gb_output(pkg, inst, q)
         times.append(time.process_time() - start)
     return times
 
@@ -89,17 +93,20 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--against", type=Path, required=True, help="checkout holding the base engine"
     )
-    ap.add_argument("--seed", type=int, default=1, help="gb_sym instance seed")
+    ap.add_argument("--seed", type=int, default=1, help="instance seed")
+    ap.add_argument(
+        "--q", choices=("sym", "2"), default="sym", help="symbolic q or q = 2"
+    )
     ap.add_argument(
         "--seconds", type=float, default=30.0, help="wall-clock time for the rounds"
     )
     args = ap.parse_args(argv)
     base = load_package("quantmat_base", args.against.resolve() / "src" / "quantmat")
     head = load_package("quantmat_head", ROOT / "src" / "quantmat")
-    instances = gb_instances(args.seed, SYM_BUDGET)
+    instances = gb_instances(args.seed, SYM_BUDGET if args.q == "sym" else Q2_BUDGET)
 
     for inst in instances:
-        if gb_output(base, inst) != gb_output(head, inst):
+        if gb_output(base, inst, args.q) != gb_output(head, inst, args.q):
             print(f"outputs differ on instance {inst.label}")
             return 1
     print(f"seed {args.seed}: {len(instances)} instances, outputs identical")
@@ -111,11 +118,11 @@ def main(argv=None) -> int:
     while not base_r or time.perf_counter() < deadline:
         # swap the order every pair so neither side always runs first
         if len(base_r) % 2:
-            head_r.append(timed_round(head, instances))
-            base_r.append(timed_round(base, instances))
+            head_r.append(timed_round(head, instances, args.q))
+            base_r.append(timed_round(base, instances, args.q))
         else:
-            base_r.append(timed_round(base, instances))
-            head_r.append(timed_round(head, instances))
+            base_r.append(timed_round(base, instances, args.q))
+            head_r.append(timed_round(head, instances, args.q))
 
     base_t = [sum(r) for r in base_r]
     head_t = [sum(r) for r in head_r]
