@@ -50,13 +50,11 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     ideal_member,
-    interreduce,
     left_divide,
     left_spoly,
 )
 from .dimension import (
     Staircase,
-    check_elimination_bound,
     eliminate_prefix,
     gk_dimension,
     hilbert_count,
@@ -109,7 +107,6 @@ __all__ = [
     "ZERO",
     "buchberger",
     "build_mq",
-    "check_elimination_bound",
     "classify_pair",
     "compare_monomials",
     "eliminate_prefix",
@@ -120,7 +117,6 @@ __all__ = [
     "gk_dimension",
     "hilbert_count",
     "ideal_member",
-    "interreduce",
     "leading_staircase",
     "left_divide",
     "left_spoly",

@@ -20,7 +20,6 @@ from math import comb
 from .errors import EmptyBasis, InvalidPrefix
 from .groebner import GroebnerBasis
 from .pbw import Polynomial, _paperlex_key
-from .straighten import CheckResult, ValidationReport
 
 
 def _divides(w, v) -> bool:
@@ -176,30 +175,4 @@ def eliminate_prefix(G: GroebnerBasis, s: int) -> tuple[Polynomial, ...]:
         raise InvalidPrefix(f"prefix size must be <= {ngens - 1}, got {s}")
     return tuple(
         g for g in G.elements if all(m.top() < s for _, m in g.terms)
-    )
-
-
-def check_elimination_bound(G: GroebnerBasis) -> ValidationReport:
-    """Every prefix larger than the quotient's GK dimension meets the ideal."""
-    st = leading_staircase(G)
-    d = gk_dimension(st)
-    checks = []
-    for s in range(d + 1, G.ngens):
-        found = eliminate_prefix(G, s)
-        if found:
-            checks.append(
-                CheckResult(
-                    f"prefix-{s}", True, f"{len(found)} prefix-supported elements"
-                )
-            )
-        else:
-            checks.append(
-                CheckResult(f"prefix-{s}", False, "no prefix-supported element")
-            )
-    ok = all(c.ok for c in checks)
-    return ValidationReport(
-        kind="elimination-bound",
-        ok=ok,
-        checks=checks,
-        meta={"gk_dimension": d, "ngens": G.ngens},
     )

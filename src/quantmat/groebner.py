@@ -360,11 +360,6 @@ def _interreduce(
     return items
 
 
-def interreduce(G: GroebnerBasis, sys: CommutationSystem) -> GroebnerBasis:
-    """Reduced form of G (see ``_interreduce``), keeping its stats."""
-    return GroebnerBasis(tuple(_interreduce(G.elements, sys)), G.stats)
-
-
 def ideal_member(f: Polynomial, G: GroebnerBasis, sys: CommutationSystem) -> bool:
     """True iff f left-reduces to zero by the completed basis."""
     if f.is_zero():

@@ -166,16 +166,15 @@ _new_tuple = tuple.__new__
 class Polynomial:
     """Canonical finite sum of terms, strictly descending under PaperLex.
 
-    A polynomial never changes, so three values derived from it are
-    computed on first use and kept in slots: its hash, which keys the
-    product memo of ``CommutationSystem.mono_mul``; its degree, which the
-    memo's degree guard reads on every product; and the support of its LM
-    (see ``_lm_support``), which division and the chain criterion test
-    divisibility by.  Filling a slot twice stores the same value, so
+    A polynomial never changes, so two values derived from it are computed
+    on first use and kept in slots: its degree, which the degree guard of
+    ``CommutationSystem.mono_mul`` reads on every product, and the support
+    of its LM (see ``_lm_support``), which division and the chain criterion
+    test divisibility by.  Filling a slot twice stores the same value, so
     polynomials can still be shared across threads.
     """
 
-    __slots__ = ("terms", "ngens", "_hash", "_degree", "_support")
+    __slots__ = ("terms", "ngens", "_degree", "_support")
 
     def __init__(self, terms: tuple[Term, ...], ngens: int):
         # trusted constructor: terms must already be canonical
@@ -242,11 +241,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = self._hash = hash((self.ngens, self.terms))
-            return h
+        return hash((self.ngens, self.terms))
 
     def _lm_support(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """LM(self) as its generator bitmask and its (index, exponent) pairs.

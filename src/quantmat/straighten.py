@@ -26,19 +26,10 @@ of the word in one pass and recurses only at the first letter whose
 relation has a tail; that tail's terms are folded over the rest of the
 word by the same fold, in place, under the same degree guard as
 ``mono_mul``.
-
-Completion lifts the same element by the same monomial many times (an
-S-pair and a later division step, or two divisions), so each system also
-memoizes whole products u*g, keyed by g's value and u's exponents.  The
-memo stores the product the fold returned, so a hit returns exactly what
-a fold would.  It holds at most ``_PRODUCT_MEMO_TERMS`` terms, keys and
-products counted together, and is emptied when the next product would
-pass that bound.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -59,24 +50,15 @@ from .qfield import ONE, QMode, QRat, SYMBOLIC
 
 DEFAULT_MAX_DEGREE = 64
 
-# Terms the product memo of one system may hold, counting the terms of each
-# key polynomial g and of its product u*g.  A term (a Term tuple, a Monomial
-# tuple and a QRat) took 185-270 bytes on the gb_sym benchmark ideals of
-# M_q(3), so the bound allows about 18 MB per system, plus what larger
-# coefficients add.
-_PRODUCT_MEMO_TERMS = 1 << 16
-
 
 class CommutationSystem:
     """Immutable multiplication table z_small*z_big = lam*(z_big z_small) + f.
 
     ``table`` maps (big, small) linear-index pairs (big > small) to
-    (lam, f) with f a canonical polynomial.  Products are memoized per
-    system at two levels: letter times basis word (an lru_cache of at most
-    65,536 entries, which ``cache_info`` reports) and monomial times
-    polynomial (bounded by ``_PRODUCT_MEMO_TERMS`` terms).  Neither memo
-    holds a strong reference to its system, and both are safe under
-    concurrent multiplication.
+    (lam, f) with f a canonical polynomial.  Letter times basis word is
+    memoized per system (an lru_cache of at most 65,536 entries, which
+    ``cache_info`` reports).  The memo holds no strong reference to its
+    system and is safe under concurrent multiplication.
     """
 
     def __init__(
@@ -110,10 +92,6 @@ class CommutationSystem:
         # per generator g, filled on its first letter-memo miss: (h, lam,
         # tail terms) of every pair (h, g) with h above g, top down
         self._rows: list[Optional[list]] = [None] * ngens
-        # (g, u) -> u*g; the lock guards the stores and the term count
-        self._products: dict[tuple[Polynomial, Monomial], Polynomial] = {}
-        self._product_terms = 0
-        self._products_lock = threading.Lock()
         if validate:
             report = validate_solvability(self)
             if not report.ok:
@@ -149,13 +127,13 @@ class CommutationSystem:
             z_g * mono = scale P (lam z_h (z_g rest) + f rest),
 
         one memo lookup for z_g rest, and each term c*w of f folded over
-        rest by ``_fold`` in place, with no product memo and no sorting,
-        under the degree guard of w*rest: PaperLex is not
-        degree-compatible, so a tail may be of higher degree than its
-        pair.  Every term in the bracket has its letters at or below h
-        (solvability puts LM(f) below z_h z_g), so z_h and P prepend: a
-        term keeps its exponents up to h and takes P's above.  The pairs
-        (h, lam, f) above g are read once per system into a row.
+        rest by ``_fold`` in place, without sorting, under the degree
+        guard of w*rest: PaperLex is not degree-compatible, so a tail may
+        be of higher degree than its pair.  Every term in the bracket has
+        its letters at or below h (solvability puts LM(f) below z_h z_g),
+        so z_h and P prepend: a term keeps its exponents up to h and takes
+        P's above.  The pairs (h, lam, f) above g are read once per system
+        into a row.
         """
         row = self._rows[g]
         if row is None:
@@ -214,9 +192,8 @@ class CommutationSystem:
         and ``poly_mul`` sums it over the terms of its left factor.  A
         letter at or above the top letter of a term only raises that
         term's exponent; the other terms go through the memoized
-        letter-times-word table.  The degree guard is checked first; a
-        unit u returns g itself, and any other product is looked up in
-        the system's product memo before it is folded, and stored after.
+        letter-times-word table.  The degree guard is checked first, and
+        a unit u returns g itself.
         """
         if len(u) != self.ngens or g.ngens != self.ngens:
             raise DimensionMismatch(
@@ -229,14 +206,7 @@ class CommutationSystem:
         self.check_degree(degree + g.degree())
         if not degree:
             return g
-        key = (g, u)
-        product = self._products.get(key)
-        if product is None:
-            product = poly_from_dict(
-                self._fold(u, {m: c for c, m in g.terms}), self.ngens
-            )
-            self._store_product(key, product)
-        return product
+        return poly_from_dict(self._fold(u, {m: c for c, m in g.terms}), self.ngens)
 
     def _fold(self, u: Monomial, acc: dict) -> dict:
         # fold u's letters over the terms of acc, lowest first:
@@ -263,21 +233,6 @@ class CommutationSystem:
                     prev = acc.get(key)
                     acc[key] = c if prev is None else prev + c
         return acc
-
-    def _store_product(
-        self, key: tuple[Polynomial, Monomial], product: Polynomial
-    ) -> None:
-        """Remember u*g, emptying the memo first if it would pass its bound."""
-        size = len(key[0].terms) + len(product.terms)
-        if size > _PRODUCT_MEMO_TERMS:
-            return
-        with self._products_lock:
-            if self._product_terms + size > _PRODUCT_MEMO_TERMS:
-                self._products.clear()
-                self._product_terms = 0
-            # another thread may have stored the same product meanwhile
-            if self._products.setdefault(key, product) is product:
-                self._product_terms += size
 
     def poly_mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.ngens != self.ngens or g.ngens != self.ngens:

@@ -16,7 +16,8 @@ degree guard, a non-scalar divisor, a numeric q^k past
 precedes any syntax error further right.
 
 Formatting emits terms in descending basis order and round-trips:
-parse_poly(format_poly(p)) == p exactly.
+parse_poly(format_poly(p)) == p exactly, unless it prints an integer
+longer than the parser accepts (4,300 digits).
 """
 
 from __future__ import annotations
@@ -38,6 +39,23 @@ SCHEMA_VERSION = 1
 
 # -- coefficient formatting ----------------------------------------------
 
+# str(int) refuses integers of more than 4,300 digits unless the
+# interpreter-wide limit is raised; below this bound it is always safe
+_STR_BOUND = 10**4000
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of an integer n >= 0 of any length.
+
+    A long n is split by divmod with a power of ten into halves that are
+    rendered the same way, so no single conversion passes the limit.
+    """
+    if n < _STR_BOUND:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).rjust(k, "0")
+
 
 def _fmt_qpoly(p: tuple, shift: int, lead: int) -> tuple[str, int]:
     """Render q^shift * p / lead, highest power first; returns (text, #terms).
@@ -56,12 +74,16 @@ def _fmt_qpoly(p: tuple, shift: int, lead: int) -> tuple[str, int]:
         if lead != 1:
             quo, rem = divmod(a, lead)
             a = Fraction(a, lead) if rem else quo
+        if isinstance(a, Fraction):
+            text = f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
+        else:
+            text = _decimal(a)
         k += shift
         if k == 0:
-            body = str(a)
+            body = text
         else:
             qs = "q" if k == 1 else f"q^{k}"
-            body = qs if a == 1 else f"{a}*{qs}"
+            body = qs if a == 1 else f"{text}*{qs}"
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:

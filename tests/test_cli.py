@@ -252,6 +252,27 @@ def test_overlong_integer_literal_exits_2(capsys):
     assert err == "error: integer literal of 5000 digits is too long (at position 4)\n"
 
 
+def _digits(n):
+    # decimal digits by repeated division by ten, independent of str(int)
+    out = []
+    while n:
+        n, d = divmod(n, 10)
+        out.append("0123456789"[d])
+    return "".join(reversed(out)) or "0"
+
+
+def test_coefficient_past_the_str_digit_limit_prints(capsys):
+    # 2^20000 has 6,021 digits, past the 4,300 that str(int) accepts
+    digits = _digits(2**20000)
+    assert len(digits) == 6021
+    assert run(capsys, "nf", "--n", "2", "--q", "2", "q^20000") == (
+        0, digits + "\n", ""
+    )
+    assert run(capsys, "nf", "--n", "2", "--q", "2", "3*q^-20000*z[1,1]") == (
+        0, f"3/{digits}*z[1,1]\n", ""
+    )
+
+
 def test_numeric_q_power_past_the_bit_bound_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "nf", "--n", "2", "--q", "3", "q^1000000000")

@@ -8,7 +8,6 @@ import pytest
 from quantmat import dimension, parse_poly
 from quantmat.dimension import (
     Staircase,
-    check_elimination_bound,
     eliminate_prefix,
     gk_dimension,
     hilbert_count,
@@ -256,29 +255,32 @@ def test_eliminate_prefix_bounds(sys2):
         eliminate_prefix(G, 4)
 
 
+def _prefixes_above_dimension(G):
+    d = gk_dimension(leading_staircase(G))
+    return d, range(d + 1, G.ngens)
+
+
 def test_elimination_bound_report(sys2):
     G = _diag_basis(sys2)
-    report = check_elimination_bound(G)
-    assert report.kind == "elimination-bound"
-    assert report.ok
-    assert report.meta["gk_dimension"] == 1
+    d, prefixes = _prefixes_above_dimension(G)
+    assert d == 1
     # prefixes strictly above the dimension all intersect nontrivially
-    assert len(report.checks) == 2  # s = 2, 3
+    assert list(prefixes) == [2, 3]
+    assert all(eliminate_prefix(G, s) for s in prefixes)
 
 
 def test_elimination_bound_vacuous(sys2, sys3):
     G = buchberger([sys2.gen_poly(k) for k in range(4)], sys2)
-    report = check_elimination_bound(G)
-    assert report.ok
+    _, prefixes = _prefixes_above_dimension(G)
+    assert all(eliminate_prefix(G, s) for s in prefixes)
     # gk = 3 for a single generator at n=2: no prefix above the bound exists
     single = buchberger([sys2.gen_poly(0)], sys2)
-    vac = check_elimination_bound(single)
-    assert vac.ok and not vac.checks
+    d, prefixes = _prefixes_above_dimension(single)
+    assert d == 3 and not prefixes
     # same shape at n=3: gk = 8, prefixes stop at 8
     single3 = buchberger([sys3.gen_poly(0)], sys3)
-    vac3 = check_elimination_bound(single3)
-    assert vac3.ok and not vac3.checks
-    assert vac3.meta["gk_dimension"] == 8
+    d3, prefixes3 = _prefixes_above_dimension(single3)
+    assert d3 == 8 and not prefixes3
 
 
 def test_negative_control_no_intersection(sys2):

@@ -18,13 +18,11 @@ from quantmat.groebner import (
     _interreduce,
     buchberger,
     ideal_member,
-    interreduce,
     left_divide,
     left_spoly,
 )
 from quantmat.pbw import Monomial, Polynomial, Term
 from quantmat.qfield import ONE, Q, QMode, QRat
-from quantmat import straighten
 from quantmat.straighten import quantum_plane, scalar_mul, weyl_algebra
 
 from oracles import (
@@ -183,6 +181,8 @@ def test_spoly_matches_reference(name, data):
         return p if q is None else specialize_terms(p, q, sys.ngens)
 
     g1, g2 = element(), element()
+    # a sum of powers of q can vanish at q = 2; left_spoly rejects zero
+    assume(not g1.is_zero() and not g2.is_zero())
     assert left_spoly(g1, g2, sys) == spoly_reference(g1, g2, sys)
     assert left_spoly(g1, g1, sys).is_zero()
 
@@ -335,16 +335,14 @@ def test_reduced_basis_canonical_under_shuffle(sys2):
 def test_interreduce_head_reduction(sys2):
     z11 = _gp(sys2, 0)
     f = sys2.poly_mul(z11, z11) + _gp(sys2, 3)
-    G = GroebnerBasis(elements=(z11, f))
-    red = interreduce(G, sys2)
-    assert red.elements == (z11, _gp(sys2, 3))
+    assert _interreduce([z11, f], sys2) == [z11, _gp(sys2, 3)]
 
 
 def test_interreduce_idempotent_and_monic(sys2):
     two_z = scalar_mul(QRat((2,)), _gp(sys2, 0))
-    red = interreduce(GroebnerBasis(elements=(two_z,)), sys2)
-    assert red.elements == (_gp(sys2, 0),)
-    assert interreduce(red, sys2).elements == red.elements
+    red = _interreduce([two_z], sys2)
+    assert red == [_gp(sys2, 0)]
+    assert _interreduce(red, sys2) == red
 
 
 _INTERREDUCE_SYSTEMS = {
@@ -604,17 +602,13 @@ def _rendered_basis(gens, system, max_pairs=gb.DEFAULT_MAX_PAIRS) -> str:
     return "\n".join([flag] + [format_poly(g, system.gen_names) for g in basis])
 
 
-@pytest.mark.parametrize("bound", [None, 200])
-def test_reused_system_matches_fresh_systems(bound, monkeypatch):
-    # one system completes every ideal in turn, so its memos carry entries
-    # from earlier ideals into later ones; a stale entry would show as a
-    # basis that differs from the one a fresh system computes.  A small
-    # bound also empties the product memo in the middle of completions.
+def test_reused_system_matches_fresh_systems():
+    # one system completes every ideal in turn, so its letter memo carries
+    # entries from earlier ideals into later ones; a stale entry would show
+    # as a basis that differs from the one a fresh system computes
     jobs = [(3, gens, budget) for gens, budget in _gb_sym_seed_1()]
     jobs += [(2, gens, gb.DEFAULT_MAX_PAIRS) for gens in _c06_ideals()]
     fresh = [_rendered_basis(g, build_mq(MqSpec(n)), b) for n, g, b in jobs]
-    if bound is not None:
-        monkeypatch.setattr(straighten, "_PRODUCT_MEMO_TERMS", bound)
     shared = {2: build_mq(MqSpec(2)), 3: build_mq(MqSpec(3))}
     reused = [_rendered_basis(g, shared[n], b) for n, g, b in jobs]
     assert reused == fresh

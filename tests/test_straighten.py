@@ -10,7 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantmat import MqSpec, build_mq, straighten
+from quantmat import MqSpec, build_mq
 
 from quantmat.errors import (
     DegreeGuardExceeded,
@@ -34,7 +34,6 @@ from quantmat.straighten import (
 )
 
 from oracles import (
-    _monomials_up_to,
     commutator,
     naive_mono_mul,
     naive_poly_mul,
@@ -334,16 +333,6 @@ def test_tampered_tail_not_below(sys2):
 
 
 def test_cache_effectiveness(sys2):
-    # a repeated product is not recomputed: the product memo serves it, by
-    # value, without consulting the letter memo
-    sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
-    u = Monomial((2, 1, 0, 1))
-    v = Monomial((0, 1, 2, 0))
-    first = sys.mono_mul(u, Polynomial.from_mono(v))
-    before = sys.cache_info()
-    assert sys.mono_mul(u, Polynomial.from_mono(v)) is first
-    assert sys.cache_info().misses == before.misses
-    assert sys.cache_info().hits == before.hits
     # within one fold a word can recur: z[1,2] and z[1,1] over the two
     # terms of g ask for one letter-times-word product twice
     sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
@@ -355,45 +344,9 @@ def test_cache_effectiveness(sys2):
     assert p == naive_poly_mul(sys, Polynomial.from_mono(Monomial((1, 1, 0, 0))), g)
 
 
-def _memo_terms(sys):
-    return sum(len(g.terms) + len(p.terms) for (g, _), p in sys._products.items())
-
-
-def test_product_memo_is_bounded(sys2, monkeypatch):
-    # the real bound is 2^16 terms; a small one makes the memo fill and
-    # empty many times within the test
-    assert straighten._PRODUCT_MEMO_TERMS == 1 << 16
-    bound = 60
-    monkeypatch.setattr(straighten, "_PRODUCT_MEMO_TERMS", bound)
-    sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
-    rng = random.Random(17)
-    lifts = stored = cleared = 0
-    for _ in range(150):
-        g = rand_poly(rng, 4, max_degree=2, max_terms=3)
-        u = rand_monomial(rng, 4, 2)
-        before = sys._product_terms
-        p = sys.mono_mul(u, g)
-        lifts += not u.is_unit()
-        stored += sys._product_terms != before
-        cleared += sys._product_terms < before
-        assert sys._product_terms == _memo_terms(sys) <= bound
-        fresh = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
-        assert p == fresh.mono_mul(u, g)
-        assert p == naive_poly_mul(sys, Polynomial.from_mono(u), g)
-    assert lifts > bound and stored > 0 and cleared > 0
-    # a product larger than the bound is returned but not kept
-    g = poly_canonicalize([(ONE, m) for m in _monomials_up_to(4, 4)], 4)
-    assert len(g.terms) > bound
-    u = Monomial((1, 0, 0, 1))
-    assert sys.mono_mul(u, g) == naive_poly_mul(sys, Polynomial.from_mono(u), g)
-    assert (g, u.exps) not in sys._products
-    assert sys._product_terms == _memo_terms(sys) <= bound
-
-
-def test_product_memo_under_threads(sys2, monkeypatch):
-    # four threads fill and empty one small memo; a lost update to the
-    # term count would leave it out of step with the entries
-    monkeypatch.setattr(straighten, "_PRODUCT_MEMO_TERMS", 40)
+def test_products_under_threads(sys2):
+    # four threads multiply on one fresh system, so they fill its letter
+    # memo and its per-generator rows concurrently
     sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
     rng = random.Random(23)
     jobs = [
@@ -421,17 +374,15 @@ def test_product_memo_under_threads(sys2, monkeypatch):
         sys_module.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    assert sys._product_terms == _memo_terms(sys) <= 40
 
 
 def test_dropped_system_is_freed_without_collector(sys2):
-    # neither memo may hold its system alive through a reference cycle
+    # the letter memo may not hold its system alive through a reference cycle
     sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
     g = Polynomial.from_mono(Monomial((0, 1, 2, 0)))
     sys.mono_mul(Monomial((2, 1, 0, 1)), g)
     sys.mono_mul(Monomial((1, 0, 0, 0)), sys.mono_mul(Monomial((0, 0, 1, 0)), g))
     assert sys.cache_info().currsize > 0
-    assert len(sys._products) >= 3 and sys._product_terms > 0
     ref = weakref.ref(sys)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -494,7 +445,7 @@ def test_degree_guard_boundary_on_a_cached_degree():
     z1, z0_cubed = Monomial((0, 1)), Monomial((3, 0))
     g = Polynomial.from_mono(z1) + Polynomial.from_mono(z0_cubed)
     assert g.lm() == z1 and g.degree() == 3
-    for _ in range(2):  # the second product is a memo hit
+    for _ in range(2):  # the second product reads the degree from the slot
         assert sys.mono_mul(Monomial((1, 1)), g).degree() == 5
         with pytest.raises(DegreeGuardExceeded, match="degree 6 exceeds guard 5"):
             sys.mono_mul(Monomial((2, 1)), g)
