@@ -24,7 +24,6 @@ from .errors import (
 )
 from .qfield import ONE, Q, QMode, QRat, SYMBOLIC, ZERO
 from .pbw import (
-    GeneratorId,
     Monomial,
     Polynomial,
     Term,
@@ -82,7 +81,6 @@ __all__ = [
     "DivisionByZero",
     "EmptyBasis",
     "EvaluationPole",
-    "GeneratorId",
     "GroebnerBasis",
     "IdealFile",
     "IndexOutOfRange",

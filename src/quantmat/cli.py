@@ -272,7 +272,7 @@ def _cmd_validate(args) -> int:
         raise InvalidSpec("missing dimension: pass --n")
     qmode = _qmode_from(args.q if args.q is not None else "symbolic")
     system = build_mq(MqSpec(args.n, qmode))
-    report = validate_solvability(system)
+    report = validate_solvability(system.ngens, system.table, system.gen_names, system.name)
     lines = [
         f"solvability: M_q({args.n})",
         f"pairs checked: {len(report.checks)}",
@@ -327,7 +327,11 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # CPython 3.11's argparse stores --opt=-- as an empty list, not as "--"
+    given = [v for k, v in vars(args).items() if k != "ideal"]
     try:
+        if any(isinstance(v, list) for v in given + getattr(args, "ideal", [])):
+            raise InvalidSpec("'--' is not an option value")
         return _DISPATCH[args.command](args)
     except (DegreeGuardExceeded, PairLimitExceeded) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .errors import InvalidSpec
 from .mq import MqSpec, build_mq
-from .pbw import Polynomial
+from .pbw import Polynomial, gen_index
 from .qfield import QRat
 from .straighten import CommutationSystem, scalar_mul
 
@@ -42,7 +42,7 @@ def quantum_determinant(
     for perm in permutations(range(1, n + 1)):
         word = Polynomial.one(sys.ngens)
         for row, col in enumerate(perm, start=1):
-            word = sys.poly_mul(word, sys.gen_poly((row - 1) * n + (col - 1)))
+            word = sys.poly_mul(word, sys.gen_poly(gen_index(row, col, n)))
         k = _inversions(perm)
         coeff = QRat.q_power(k).specialize(sys.qmode)
         if k % 2:

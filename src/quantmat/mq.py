@@ -1,8 +1,8 @@
 """Presentation of the standard quantized matrix algebra on n^2 generators.
 
-Generators z[i,j] carry the linear index (i-1)n + (j-1); a larger index
-means a larger generator.  Every ordered pair falls under exactly one of
-four commutation patterns:
+Generators z[i,j] carry the linear index (i-1)n + (j-1), which
+``gen_index`` gives; a larger index means a larger generator.  Every
+ordered pair falls under exactly one of four commutation patterns:
 
   R1  same row, columns increase      ->  lam = q,  no tail
   R2  same column, rows increase      ->  lam = q,  no tail
@@ -19,9 +19,14 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .pbw import Monomial, Polynomial, Term, mono_sum
+from .pbw import Monomial, Polynomial, gen_index, mono_sum
 from .qfield import ONE, Q, QMode, QRat, SYMBOLIC
 from .straighten import DEFAULT_MAX_DEGREE, CommutationSystem
+
+
+# M_q(n) has n^2 (n^2 - 1) / 2 relations, and building a system builds
+# and checks every one: the bound keeps that to 32,640 pairs
+MAX_DIMENSION = 16
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,8 @@ class MqSpec:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidSpec(f"matrix dimension must be >= 2, got {self.n}")
+        if self.n > MAX_DIMENSION:
+            raise InvalidSpec(f"matrix dimension must be <= {MAX_DIMENSION}, got {self.n}")
 
 
 def classify_pair(big: tuple[int, int], small: tuple[int, int]) -> str:
@@ -64,32 +71,29 @@ def build_mq(spec: MqSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> CommutationS
             )
         lam_q = QRat.from_rational(v)
         hook = QRat.from_rational(v - 1 / v)
-    one = ONE
     zero_poly = Polynomial.zero(ngens)
 
+    # (row, col) of each generator, inverting gen_index
+    entries = [(k // n + 1, k % n + 1) for k in range(ngens)]
     table = {}
     for big in range(1, ngens):
-        s, t = big // n + 1, big % n + 1
+        s, t = entries[big]
         for small in range(big):
-            i, j = small // n + 1, small % n + 1
+            i, j = entries[small]
             pattern = classify_pair((s, t), (i, j))
             if pattern in ("R1", "R2"):
                 table[(big, small)] = (lam_q, zero_poly)
             elif pattern == "R3":
-                table[(big, small)] = (one, zero_poly)
+                table[(big, small)] = (ONE, zero_poly)
             else:
                 cross = mono_sum(
-                    Monomial.gen((s - 1) * n + (j - 1), ngens),
-                    Monomial.gen((i - 1) * n + (t - 1), ngens),
+                    Monomial.gen(gen_index(s, j, n), ngens),
+                    Monomial.gen(gen_index(i, t, n), ngens),
                 )
-                tail = (
-                    Polynomial((Term(hook, cross),), ngens)
-                    if not hook.is_zero()
-                    else zero_poly
-                )
-                table[(big, small)] = (one, tail)
+                # q = +-1 has no hook, and the tail is zero
+                table[(big, small)] = (ONE, Polynomial.from_mono(cross, hook))
 
-    names = tuple(f"z[{k // n + 1},{k % n + 1}]" for k in range(ngens))
+    names = tuple(f"z[{i},{j}]" for i, j in entries)
     return CommutationSystem(
         ngens,
         table,

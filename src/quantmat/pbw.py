@@ -15,7 +15,6 @@ build a polynomial (``poly_from_dict``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -26,26 +25,11 @@ from .qfield import ONE, QRat
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-@dataclass(frozen=True)
-class GeneratorId:
-    """Matrix-entry generator z[row,col]; linear = (row-1)*n + (col-1)."""
-
-    row: int
-    col: int
-    n: int
-
-    @property
-    def linear(self) -> int:
-        return (self.row - 1) * self.n + (self.col - 1)
-
-    def __str__(self):
-        return f"z[{self.row},{self.col}]"
-
-
-def gen_index(i: int, j: int, n: int) -> GeneratorId:
+def gen_index(i: int, j: int, n: int) -> int:
+    """Linear index (i-1)*n + (j-1) of the matrix-entry generator z[i,j]."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"generator z[{i},{j}] outside 1..{n}")
-    return GeneratorId(i, j, n)
+    return (i - 1) * n + (j - 1)
 
 
 class Monomial(tuple):

@@ -7,11 +7,11 @@ engine is generic: the quantized matrix algebra is one instance; the
 quantum plane and the first Weyl algebra ship as controls, one without
 tails and one with.
 
-``validate_solvability`` checks, for every pair, lam != 0 and LM(f)
-below z_big z_small; a system runs it when built unless
-``validate=False``.  With PaperLex a lex order on exponent vectors, that
-is all the engine needs of its ordering: a product u*v then leads with
-u + v times a nonzero scalar.
+``validate_solvability`` checks a table: for every pair, lam != 0 and
+LM(f) below z_big z_small.  Every system runs it when built, with no way
+to skip it.  With PaperLex a lex order on exponent vectors, that is all
+the engine needs of its ordering: a product u*v then leads with u + v
+times a nonzero scalar.
 
 Every product goes through one algorithm, the fold behind
 ``CommutationSystem.mono_mul(u, g)``: the left multiple of a polynomial g
@@ -33,7 +33,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .errors import DegreeGuardExceeded, DimensionMismatch, InvalidSpec, MissingPair
 from .pbw import (
@@ -55,8 +56,11 @@ class CommutationSystem:
     """Immutable multiplication table z_small*z_big = lam*(z_big z_small) + f.
 
     ``table`` maps (big, small) linear-index pairs (big > small) to
-    (lam, f) with f a canonical polynomial.  Letter times basis word is
-    memoized per system (an lru_cache of at most 65,536 entries, which
+    (lam, f) with f a canonical polynomial; it is checked for solvability
+    when the system is built, before anything is stored, and kept as a
+    read-only view.  The per-generator rows that products read are built
+    from it with the system.  Letter times basis word is memoized per
+    system (an lru_cache of at most 65,536 entries, which
     ``cache_info`` reports).  The memo holds no strong reference to its
     system and is safe under concurrent multiplication.
     """
@@ -64,23 +68,38 @@ class CommutationSystem:
     def __init__(
         self,
         ngens: int,
-        table: dict[tuple[int, int], tuple[QRat, Polynomial]],
+        table: Mapping[tuple[int, int], tuple[QRat, Polynomial]],
         qmode: QMode = SYMBOLIC,
         gen_names: Optional[tuple[str, ...]] = None,
         max_degree: int = DEFAULT_MAX_DEGREE,
         name: str = "",
-        validate: bool = True,
     ):
-        if ngens < 1:
-            raise InvalidSpec("need at least one generator")
         if max_degree < 0:
             raise InvalidSpec(f"degree guard must be >= 0, got {max_degree}")
+        gen_names = gen_names or tuple(f"g{k}" for k in range(ngens))
+        table = dict(table)
+        report = validate_solvability(ngens, table, gen_names, name)
+        if not report.ok:
+            raise InvalidSpec(
+                "commutation table violates solvability: "
+                + "; ".join(c.witness for c in report.failures())
+            )
         self.ngens = ngens
-        self.table = dict(table)
+        self.table = MappingProxyType(table)
         self.qmode = qmode
-        self.gen_names = gen_names or tuple(f"g{k}" for k in range(ngens))
+        self.gen_names = gen_names
         self.max_degree = max_degree
         self.name = name
+        # per generator g: (h, lam, tail terms) of every pair (h, g) with h
+        # above g, top down
+        self._rows = [
+            [
+                (h, lam, f.terms)
+                for h in range(ngens - 1, g, -1)
+                for lam, f in (table[(h, g)],)
+            ]
+            for g in range(ngens)
+        ]
         # the memo reaches the system through a weak reference, so a dropped
         # system and its memo are freed at once, not by the cycle collector
         ref = weakref.ref(self)
@@ -89,16 +108,6 @@ class CommutationSystem:
             return ref()._gen_mul_mono_impl(g, mono)
 
         self._gen_mul_mono = lru_cache(maxsize=1 << 16)(gen_mul_mono)
-        # per generator g, filled on its first letter-memo miss: (h, lam,
-        # tail terms) of every pair (h, g) with h above g, top down
-        self._rows: list[Optional[list]] = [None] * ngens
-        if validate:
-            report = validate_solvability(self)
-            if not report.ok:
-                raise InvalidSpec(
-                    "commutation table violates solvability: "
-                    + "; ".join(c.witness for c in report.checks if not c.ok)
-                )
 
     # -- multiplication -------------------------------------------------
 
@@ -132,18 +141,11 @@ class CommutationSystem:
         be of higher degree than its pair.  Every term in the bracket has
         its letters at or below h (solvability puts LM(f) below z_h z_g),
         so z_h and P prepend: a term keeps its exponents up to h and takes
-        P's above.  The pairs (h, lam, f) above g are read once per system
-        into a row.
+        P's above.  Every lam is nonzero, so neither scale nor the head
+        factor is zero.
         """
-        row = self._rows[g]
-        if row is None:
-            row = self._rows[g] = [
-                (h, lam, f.terms)
-                for h in range(self.ngens - 1, g, -1)
-                for lam, f in (self.table[(h, g)],)
-            ]
         scale = ONE
-        for h, lam, tail in row:
+        for h, lam, tail in self._rows[g]:
             e = mono[h]
             if not e:
                 continue
@@ -156,19 +158,15 @@ class CommutationSystem:
         else:
             out = list(mono)
             out[g] += 1
-            # a lam = 0 of a table built without validation gives zero here
-            return () if scale.is_zero() else ((scale, Monomial(out)),)
-        if scale.is_zero():
-            return ()
+            return ((scale, Monomial(out)),)
         above = mono[h + 1 :]
         rest = Monomial(mono[:h] + (e - 1,) + (0,) * len(above))
         head = scale if lam.is_one() else scale * lam
+        one = head.is_one()
         acc: dict[Monomial, QRat] = {}
-        if not head.is_zero():
-            one = head.is_one()
-            for c, m in self._gen_mul_mono(g, rest):
-                key = Monomial(m[:h] + (m[h] + 1,) + above)
-                acc[key] = c if one else head * c
+        for c, m in self._gen_mul_mono(g, rest):
+            key = Monomial(m[:h] + (m[h] + 1,) + above)
+            acc[key] = c if one else head * c
         one = scale.is_one()
         degree = sum(rest)
         for c, w in tail:
@@ -310,41 +308,48 @@ class ValidationReport:
         }
 
 
-def validate_solvability(sys: CommutationSystem) -> ValidationReport:
-    """Check every pair: lam in K^* and LM(f) strictly below the basis word."""
+def validate_solvability(
+    ngens: int,
+    table: Mapping[tuple[int, int], tuple[QRat, Polynomial]],
+    gen_names: tuple[str, ...],
+    name: str = "",
+) -> ValidationReport:
+    """Check every pair of a table: lam in K^* and LM(f) strictly below
+    the basis word.  A table not shaped as one raises ``InvalidSpec``, or
+    ``MissingPair`` for an absent pair."""
+    if ngens < 1:
+        raise InvalidSpec("need at least one generator")
+    if len(gen_names) != ngens:
+        raise InvalidSpec(f"{len(gen_names)} generator names for {ngens} generators")
+    pairs = [(big, small) for big in range(1, ngens) for small in range(big)]
+    stray = set(table).difference(pairs)
+    if stray:
+        raise InvalidSpec(
+            f"table key {min(map(repr, stray))} is not a pair (big, small) "
+            f"with {ngens} > big > small >= 0"
+        )
     checks = []
-    for big in range(1, sys.ngens):
-        for small in range(big):
-            key = (big, small)
-            if key not in sys.table:
-                raise MissingPair(
-                    f"no table entry for pair ({sys.gen_names[big]}, {sys.gen_names[small]})"
-                )
-            lam, f = sys.table[key]
-            name = f"{sys.gen_names[small]}*{sys.gen_names[big]}"
-            if lam.is_zero():
-                checks.append(CheckResult(name, False, "lambda = 0"))
-                continue
-            if f.is_zero():
-                checks.append(CheckResult(name, True))
-                continue
-            basis_word = mono_sum(sys.gen_mono(big), sys.gen_mono(small))
-            if compare_monomials(f.lm(), basis_word) == LESS:
-                checks.append(CheckResult(name, True))
-            else:
-                checks.append(
-                    CheckResult(
-                        name,
-                        False,
-                        f"LM(f) = {f.lm().exps} not below {basis_word.exps}",
-                    )
-                )
-    ok = all(c.ok for c in checks)
+    for key in pairs:
+        big, small = key
+        if key not in table:
+            raise MissingPair(
+                f"no table entry for pair ({gen_names[big]}, {gen_names[small]})"
+            )
+        lam, f = table[key]
+        witness = ""
+        if lam.is_zero():
+            witness = "lambda = 0"
+        elif not f.is_zero():
+            word = mono_sum(Monomial.gen(big, ngens), Monomial.gen(small, ngens))
+            if compare_monomials(f.lm(), word) != LESS:
+                witness = f"LM(f) = {f.lm()} not below {word}"
+        label = f"{gen_names[small]}*{gen_names[big]}"
+        checks.append(CheckResult(label, not witness, witness))
     return ValidationReport(
         kind="solvability",
-        ok=ok,
+        ok=all(c.ok for c in checks),
         checks=checks,
-        meta={"system": sys.name or "", "ngens": sys.ngens, "pairs": len(checks)},
+        meta={"system": name, "ngens": ngens, "pairs": len(checks)},
     )
 
 

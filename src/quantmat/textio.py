@@ -30,6 +30,7 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import InvalidSpec, NegativeGeneratorPower, ParseError
+from .mq import MqSpec
 from .pbw import Monomial, Polynomial, gen_index
 from .qfield import QMode, QRat
 from .straighten import CommutationSystem, scalar_mul
@@ -272,7 +273,7 @@ class _Parser:
                 n = isqrt(ngens)
                 if n * n != ngens:
                     raise ParseError("z[i,j] generators need a square generator count", pos)
-                linear = gen_index(row, col, n).linear
+                linear = gen_index(row, col, n)
                 self.sys.check_degree(power)
                 return Polynomial.from_mono(Monomial.gen(linear, ngens, power))
             raise ParseError(f"unknown symbol {text!r}", pos)
@@ -338,8 +339,7 @@ class IdealFile:
     limits: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidSpec(f"matrix dimension must be >= 2, got {self.n}")
+        MqSpec(self.n)  # raises for a dimension out of range
         if self.q != "symbolic":
             QMode.numeric(self.q)  # raises for a zero or malformed q
         for key in ("max_pairs", "max_degree"):

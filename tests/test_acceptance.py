@@ -12,6 +12,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from quantmat.dimension import (
     Staircase,
     eliminate_prefix,
@@ -20,6 +22,7 @@ from quantmat.dimension import (
     leading_staircase,
     make_staircase,
 )
+from quantmat.errors import InvalidSpec
 from quantmat.fixtures import quantum_determinant
 from quantmat.groebner import buchberger, ideal_member, left_divide, left_spoly
 from quantmat.mq import MqSpec, build_mq
@@ -75,30 +78,33 @@ def test_c01_solvability_certification(sys2, sys3):
     with criterion(1, "solvability certification for n = 2, 3, 4"):
         start = time.perf_counter()
         for sys in (sys2, sys3, build_mq(MqSpec(4))):
-            report = validate_solvability(sys)
+            report = validate_solvability(
+                sys.ngens, sys.table, sys.gen_names, sys.name
+            )
             assert report.ok
             n2 = sys.ngens
             assert len(report.checks) == n2 * (n2 - 1) // 2
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"validation took {elapsed:.2f}s"
 
-        # negative controls: a dead scaling and an oversized correction term
+        # negative controls: a dead scaling and an oversized correction
+        # term; the check flags each, and no system is built on either
         table = dict(sys2.table)
         table[(1, 0)] = (QRat((0,)), table[(1, 0)][1])
-        dead = CommutationSystem(4, table, validate=False, gen_names=sys2.gen_names)
-        report = validate_solvability(dead)
+        report = validate_solvability(4, table, sys2.gen_names)
         assert not report.ok and report.failures()[0].witness == "lambda = 0"
+        with pytest.raises(InvalidSpec, match="lambda = 0"):
+            CommutationSystem(4, table, gen_names=sys2.gen_names)
 
         table = dict(sys2.table)
         table[(3, 0)] = (
             table[(3, 0)][0],
             Polynomial.from_mono(Monomial((0, 0, 0, 2))),
         )
-        oversized = CommutationSystem(
-            4, table, validate=False, gen_names=sys2.gen_names
-        )
-        report = validate_solvability(oversized)
+        report = validate_solvability(4, table, sys2.gen_names)
         assert not report.ok and "not below" in report.failures()[0].witness
+        with pytest.raises(InvalidSpec, match="not below"):
+            CommutationSystem(4, table, gen_names=sys2.gen_names)
 
 
 def test_c02_ordering_equivalence():

@@ -1,17 +1,21 @@
 """Command-line behavior: frozen output, exit codes, file input, limits."""
 
+import io
 import json
 import subprocess
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantmat.cli import run_command
 from quantmat.textio import IdealFile, save_ideal
 
 from oracles import quantum_minors
+from test_textio import _FUZZ_TOKENS, _TREES, _render
 
 DIAG = ["--n", "2", "--ideal", "z[1,1]", "--ideal", "z[2,2]"]
 
@@ -135,6 +139,110 @@ def test_json_flag_everywhere(capsys):
         doc = json.loads(out)
         assert doc["schema"] == 1
         assert key in doc
+
+
+# the full --json bytes of the two table commands, frozen
+VALIDATE_2_JSON = """\
+{
+  "schema": 1,
+  "n": 2,
+  "kind": "solvability",
+  "verdict": "PASS",
+  "checks": [
+    {
+      "name": "z[1,1]*z[1,2]",
+      "ok": true,
+      "witness": ""
+    },
+    {
+      "name": "z[1,1]*z[2,1]",
+      "ok": true,
+      "witness": ""
+    },
+    {
+      "name": "z[1,2]*z[2,1]",
+      "ok": true,
+      "witness": ""
+    },
+    {
+      "name": "z[1,1]*z[2,2]",
+      "ok": true,
+      "witness": ""
+    },
+    {
+      "name": "z[1,2]*z[2,2]",
+      "ok": true,
+      "witness": ""
+    },
+    {
+      "name": "z[2,1]*z[2,2]",
+      "ok": true,
+      "witness": ""
+    }
+  ],
+  "meta": {
+    "system": "M_q(2)",
+    "ngens": 4,
+    "pairs": 6
+  }
+}
+"""
+
+BUILD_MQ_2_JSON = """\
+{
+  "schema": 1,
+  "n": 2,
+  "q": "symbolic",
+  "relations": [
+    {
+      "small": "z[1,1]",
+      "big": "z[1,2]",
+      "normal_form": "q*z[1,2]*z[1,1]"
+    },
+    {
+      "small": "z[1,1]",
+      "big": "z[2,1]",
+      "normal_form": "q*z[2,1]*z[1,1]"
+    },
+    {
+      "small": "z[1,1]",
+      "big": "z[2,2]",
+      "normal_form": "z[2,2]*z[1,1] + (q^2 - 1)/q*z[2,1]*z[1,2]"
+    },
+    {
+      "small": "z[1,2]",
+      "big": "z[2,1]",
+      "normal_form": "z[2,1]*z[1,2]"
+    },
+    {
+      "small": "z[1,2]",
+      "big": "z[2,2]",
+      "normal_form": "q*z[2,2]*z[1,2]"
+    },
+    {
+      "small": "z[2,1]",
+      "big": "z[2,2]",
+      "normal_form": "q*z[2,2]*z[2,1]"
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, expected", [("validate", VALIDATE_2_JSON), ("build-mq", BUILD_MQ_2_JSON)]
+)
+def test_table_commands_json_frozen(capsys, command, expected):
+    assert run(capsys, command, "--n", "2", "--json") == (0, expected, "")
+
+
+def test_dimension_above_the_bound_exits_2(tmp_path, capsys):
+    # M_q(n) has n^2 (n^2 - 1) / 2 relations: n = 10^6 is refused at once
+    message = "error: matrix dimension must be <= 16, got 1000000\n"
+    assert run(capsys, "nf", "--n", "1000000", "1") == (2, "", message)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": 1, "n": 10**6, "generators": ["1"]}))
+    assert run(capsys, "gb", "--file", str(path)) == (2, "", message)
 
 
 def test_deterministic_output(capsys):
@@ -451,3 +559,109 @@ def test_module_entry_matches_run_command(argv, module_cli, capsys):
         env=env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--n=--", "1"],
+        ["nf", "--n", "2", "--q=--", "1"],
+        ["gb", "--n", "2", "--file=--"],
+        ["gb", "--n", "2", "--ideal=--"],
+        ["gb", *DIAG, "--max-pairs=--"],
+        ["hilbert", "--n", "2", "--maxdeg=--"],
+        ["eliminate", *DIAG, "--keep=--"],
+    ],
+)
+def test_double_dash_option_value_exits_2(capsys, argv):
+    # argparse leaves an empty list for --opt=--, which no command expects
+    assert run(capsys, *argv) == (2, "", "error: '--' is not an option value\n")
+
+
+# -- fuzz of every command ----------------------------------------------
+
+# Expressions come from the parser fuzz: well-formed trees over z[1..2,1..2]
+# and runs of its tokens.  The token digit runs stay at 1-3 digits: at
+# symbolic q a sum of far-apart q-powers pads one coefficient tuple to
+# their distance (QRat.__add__), so q^999999 + 1 costs megabytes without
+# being a fault of the front end.  Valid values are drawn as often as
+# invalid ones, so that most commands get past their input checks.
+_WELL_FORMED = _TREES.map(_render)
+_EXPRS = _WELL_FORMED | st.lists(_FUZZ_TOKENS, max_size=12).map("".join)
+_NS = st.sampled_from([2, 3]) | st.sampled_from([-1, 0, 1, 2, 3, 10**6])
+_QS = st.sampled_from(["symbolic", "2", "-1", "1/3"]) | st.sampled_from(
+    ["symbolic", "2", "-1", "1", "1/3", "0", "1/0", "junk"]
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(-3, 3),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+_LIMITS = st.one_of(st.integers(-2, 4), _JUNK)
+_IDEAL_JSON = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries(
+        {
+            "schema": st.just(1) | st.integers(0, 2) | _JUNK,
+            "n": _NS | _JUNK,
+        },
+        optional={
+            "q": st.one_of(_QS, _JUNK),
+            "generators": st.one_of(st.lists(_EXPRS, max_size=3), _JUNK),
+            "ordering": st.one_of(st.sampled_from(["paperlex", "deglex"]), _JUNK),
+            "limits": st.one_of(
+                st.fixed_dictionaries(
+                    {}, optional={"max_pairs": _LIMITS, "max_degree": _LIMITS}
+                ),
+                _JUNK,
+            ),
+        },
+    ),
+)
+_IDEAL_COMMANDS = ("gb", "member", "gkdim", "hilbert", "eliminate")
+
+
+@pytest.mark.filterwarnings("ignore:q = 1 makes")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_commands_exit_with_a_code_and_one_error_line(tmp_path_factory, data):
+    command = data.draw(
+        st.sampled_from(["mul", *_IDEAL_COMMANDS, "validate", "build-mq"])
+    )
+    argv = [command]
+    for flag, values in (("--n", _NS), ("--q", _QS)):
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if data.draw(st.booleans(), label="json"):
+        argv.append("--json")
+    if command in _IDEAL_COMMANDS:
+        ideal = st.lists(_WELL_FORMED, max_size=3) | st.lists(_EXPRS, max_size=3)
+        argv += [f"--ideal={e}" for e in data.draw(ideal)]
+        argv.append(f"--max-pairs={data.draw(st.integers(0, 4))}")
+        content = data.draw(st.none() | _IDEAL_JSON, label="file")
+        if content is not None:
+            path = tmp_path_factory.getbasetemp() / "fuzzed_ideal.json"
+            path.write_text(json.dumps(content))
+            argv.append(f"--file={path}")
+    if command == "hilbert":
+        # the output is linear in --maxdeg: a requested size, not a defect
+        argv.append(f"--maxdeg={data.draw(st.integers(-1, 6))}")
+    if command == "eliminate":
+        argv.append(f"--keep={data.draw(st.integers(-1, 10))}")
+    positional = {"mul": 2, "member": 1}.get(command)
+    if positional:
+        exprs = st.lists(_EXPRS, min_size=positional, max_size=positional)
+        argv += ["--", *data.draw(exprs)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code >= 2:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

@@ -8,7 +8,7 @@ import pytest
 
 from quantmat.errors import InvalidSpec
 from quantmat.fixtures import quantum_determinant
-from quantmat.mq import MqSpec, build_mq, classify_pair
+from quantmat.mq import MAX_DIMENSION, MqSpec, build_mq, classify_pair
 from quantmat.pbw import Monomial, Polynomial, Term
 from quantmat.qfield import ONE, Q, QMode, QRat
 from quantmat.straighten import validate_solvability
@@ -63,7 +63,8 @@ def test_built_systems_validate():
     for n in (2, 3, 4):
         sys = build_mq(MqSpec(n))
         assert sys.ngens == n * n
-        assert validate_solvability(sys).ok
+        report = validate_solvability(sys.ngens, sys.table, sys.gen_names)
+        assert report.ok
 
 
 def test_generator_names(sys3):
@@ -75,6 +76,12 @@ def test_generator_names(sys3):
 def test_spec_rejects_small_n():
     with pytest.raises(InvalidSpec):
         MqSpec(1)
+
+
+def test_spec_rejects_n_above_the_bound():
+    assert MqSpec(MAX_DIMENSION).n == 16
+    with pytest.raises(InvalidSpec, match="must be <= 16, got 17"):
+        MqSpec(MAX_DIMENSION + 1)
 
 
 def test_numeric_q():

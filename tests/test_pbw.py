@@ -7,6 +7,7 @@ import pytest
 
 import quantmat
 from quantmat.errors import DimensionMismatch, IndexOutOfRange
+from quantmat.mq import MqSpec, build_mq
 from quantmat.pbw import (
     Monomial,
     Polynomial,
@@ -32,12 +33,12 @@ from oracles import (
 
 
 def test_gen_index_linearization():
-    assert gen_index(1, 1, 2).linear == 0
-    assert gen_index(1, 2, 2).linear == 1
-    assert gen_index(2, 1, 2).linear == 2
-    assert gen_index(2, 2, 2).linear == 3
-    assert gen_index(2, 1, 3).linear == 3
-    assert str(gen_index(2, 1, 3)) == "z[2,1]"
+    assert gen_index(1, 1, 2) == 0
+    assert gen_index(1, 2, 2) == 1
+    assert gen_index(2, 1, 2) == 2
+    assert gen_index(2, 2, 2) == 3
+    assert gen_index(2, 1, 3) == 3
+    assert build_mq(MqSpec(3)).gen_names[3] == "z[2,1]"
 
 
 def test_gen_index_bounds():
@@ -171,7 +172,8 @@ def test_sort_key_agrees_with_compare():
 
 
 def test_no_public_callable_takes_an_ordering():
-    # PaperLex is the one ordering: nothing exported lets a caller pass another
+    # PaperLex is the one ordering: nothing exported lets a caller pass
+    # another, nor build a system whose table skips the solvability check
     for name in quantmat.__all__:
         obj = getattr(quantmat, name)
         if not callable(obj) or (
@@ -187,7 +189,7 @@ def test_no_public_callable_takes_an_ordering():
             ]
         for label, f in callables:
             params = set(inspect.signature(f).parameters)
-            assert not params & {"order", "ordering", "compare"}, label
+            assert not params & {"order", "ordering", "compare", "validate"}, label
 
 
 def test_polynomial_canonicalize_merges_and_sorts():

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import sys as sys_module
 import threading
 import weakref
@@ -187,20 +188,6 @@ def test_tail_below_tail_free_letter_agrees_with_naive():
             assert sys.mono_mul(u, Polynomial.from_mono(w)) == naive_mono_mul(sys, u, w)
 
 
-def test_zero_lambda_head_drops_out():
-    # a table built without validation may carry lam = 0: with a tail only
-    # the tail is left, without one the product is zero
-    one = Polynomial.one(2)
-    for f in (-one, Polynomial.zero(2)):
-        sys = CommutationSystem(2, {(1, 0): (ZERO, f)}, validate=False)
-        for a in range(4):
-            for b in range(4):
-                u, w = sys.gen_mono(0), Monomial((a, b))
-                p = sys.mono_mul(u, Polynomial.from_mono(w))
-                assert p == naive_mono_mul(sys, u, w)
-                assert p.is_zero() == (b > 0 and f.is_zero())
-
-
 def test_fold_skips_a_coefficient_cancelled_at_an_inner_letter():
     # in the Weyl algebra x*(d x + 1) = (d x^2 - x) + x: the first letter of
     # u = x^2 cancels the x term, and the second letter folds over what is left
@@ -288,34 +275,63 @@ def test_lm_multiplicative(sys2, sys3):
             assert p.lm() == mono_sum(f.lm(), g.lm())
 
 
+def _report(sys):
+    return validate_solvability(sys.ngens, sys.table, sys.gen_names, sys.name)
+
+
 def test_validate_solvability_passes(sys2):
-    report = validate_solvability(sys2)
+    report = _report(sys2)
     assert report.ok
     assert report.kind == "solvability"
     assert len(report.checks) == 6
-    assert report.meta["pairs"] == 6
+    assert report.meta == {"system": "M_q(2)", "ngens": 4, "pairs": 6}
     d = report.to_json_dict()
     assert d["verdict"] == "PASS"
 
 
+def test_table_is_read_only(sys2):
+    # products read rows built from the checked table, so it cannot change
+    with pytest.raises(TypeError):
+        sys2.table[(1, 0)] = (ZERO, Polynomial.zero(4))
+    assert sys2.table[(1, 0)] == (Q, Polynomial.zero(4))
+
+
 def test_missing_pair():
     table = {(1, 0): (Q, Polynomial.zero(3))}
-    sys = CommutationSystem(3, table, validate=False)
     with pytest.raises(MissingPair):
-        validate_solvability(sys)
+        validate_solvability(3, table, ("g0", "g1", "g2"))
+    with pytest.raises(MissingPair):
+        CommutationSystem(3, table)
+
+
+def test_names_not_one_per_generator(sys2):
+    with pytest.raises(InvalidSpec, match="2 generator names for 4 generators"):
+        validate_solvability(4, sys2.table, ("a", "b"))
+    with pytest.raises(InvalidSpec, match="2 generator names for 4 generators"):
+        CommutationSystem(4, sys2.table, gen_names=("a", "b"))
+
+
+@pytest.mark.parametrize("key", [(9, 0), (0, 1), (2, 2), (1, -1), (1,), "ab"])
+def test_stray_table_key(sys2, key):
+    table = dict(sys2.table)
+    table[key] = (ONE, Polynomial.zero(4))
+    match = f"table key {key!r} is not a pair"
+    with pytest.raises(InvalidSpec, match=re.escape(match)):
+        validate_solvability(4, table, sys2.gen_names)
+    with pytest.raises(InvalidSpec, match=re.escape(match)):
+        CommutationSystem(4, table, gen_names=sys2.gen_names)
 
 
 def test_tampered_lambda_zero(sys2):
     table = dict(sys2.table)
     lam, f = table[(1, 0)]
     table[(1, 0)] = (QRat((0,)), f)
-    bad = CommutationSystem(4, table, validate=False, gen_names=sys2.gen_names)
-    report = validate_solvability(bad)
+    report = validate_solvability(4, table, sys2.gen_names)
     assert not report.ok
     bad_checks = report.failures()
     assert len(bad_checks) == 1
     assert bad_checks[0].witness == "lambda = 0"
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="lambda = 0"):
         CommutationSystem(4, table, gen_names=sys2.gen_names)
 
 
@@ -325,11 +341,13 @@ def test_tampered_tail_not_below(sys2):
     lam, _ = table[(3, 0)]
     big = Polynomial.from_mono(Monomial((0, 0, 0, 2)))
     table[(3, 0)] = (lam, big)
-    bad = CommutationSystem(4, table, validate=False, gen_names=sys2.gen_names)
-    report = validate_solvability(bad)
+    report = validate_solvability(4, table, sys2.gen_names)
     assert not report.ok
-    assert report.failures()[0].witness == "LM(f) = (0, 0, 0, 2) not below (1, 0, 0, 1)"
+    witness = "LM(f) = (0, 0, 0, 2) not below (1, 0, 0, 1)"
+    assert report.failures()[0].witness == witness
     assert report.failures()[0].name == "z[1,1]*z[2,2]"
+    with pytest.raises(InvalidSpec, match=re.escape(witness)):
+        CommutationSystem(4, table, gen_names=sys2.gen_names)
 
 
 def test_cache_effectiveness(sys2):
@@ -346,7 +364,7 @@ def test_cache_effectiveness(sys2):
 
 def test_products_under_threads(sys2):
     # four threads multiply on one fresh system, so they fill its letter
-    # memo and its per-generator rows concurrently
+    # memo concurrently (its per-generator rows are built with the system)
     sys = CommutationSystem(4, sys2.table, gen_names=sys2.gen_names)
     rng = random.Random(23)
     jobs = [

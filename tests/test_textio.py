@@ -353,7 +353,7 @@ def _value(node, sys, q: QRat) -> Polynomial:
         return Polynomial.from_mono(Monomial.unit(ngens), c)
     if kind == "z":
         _, i, j, m = node
-        return Polynomial.from_mono(Monomial.gen(gen_index(i, j, 2).linear, ngens, m))
+        return Polynomial.from_mono(Monomial.gen(gen_index(i, j, 2), ngens, m))
     if kind == "sum":
         acc = Polynomial.zero(ngens)
         for sign, child in node[1]:
