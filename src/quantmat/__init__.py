@@ -34,9 +34,7 @@ from .pbw import (
     mono_sum,
 )
 from .straighten import (
-    CheckResult,
     CommutationSystem,
-    ValidationReport,
     quantum_plane,
     scalar_mul,
     validate_solvability,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisStats",
-    "CheckResult",
     "CommutationSystem",
     "DegreeGuardExceeded",
     "DimensionMismatch",
@@ -101,7 +98,6 @@ __all__ = [
     "SYMBOLIC",
     "Staircase",
     "Term",
-    "ValidationReport",
     "ZERO",
     "buchberger",
     "build_mq",

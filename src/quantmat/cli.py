@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematically negative answer (member false,
-validation failure), 2 usage or input errors, 3 resource-limit errors.
+Exit codes: 0 success, 1 a negative membership answer (``member``
+false), 2 usage or input errors, 3 resource-limit errors.  ``validate``
+exits 0 or 2: a table that fails the solvability check cannot be built
+into a system, so its failure is an input error.
 The environment variable MQ_MAX_DEGREE overrides the default product
 degree guard; explicit limits in an ideal file win over the environment.
 """
@@ -114,7 +116,7 @@ def _resolve_system(args):
         raise InvalidSpec("missing dimension: pass --n or --file")
     qstr = args.q
     if ideal is not None:
-        if qstr is not None and qstr != ideal.q:
+        if qstr is not None and _qmode_from(qstr) != _qmode_from(ideal.q):
             raise InvalidSpec(f"--q {qstr} conflicts with file q {ideal.q}")
         qstr = ideal.q
     if qstr is None:
@@ -272,15 +274,28 @@ def _cmd_validate(args) -> int:
         raise InvalidSpec("missing dimension: pass --n")
     qmode = _qmode_from(args.q if args.q is not None else "symbolic")
     system = build_mq(MqSpec(args.n, qmode))
-    report = validate_solvability(system.ngens, system.table, system.gen_names, system.name)
+    # a system that was built passed the check, which raises on any failure
+    pairs = validate_solvability(system.ngens, system.table, system.gen_names)
+    names = system.gen_names
     lines = [
         f"solvability: M_q({args.n})",
-        f"pairs checked: {len(report.checks)}",
-        f"failures: {len(report.failures())}",
-        f"verdict: {'PASS' if report.ok else 'FAIL'}",
+        f"pairs checked: {len(pairs)}",
+        "failures: 0",
+        "verdict: PASS",
     ]
-    _emit(args, lines, {"schema": SCHEMA, "n": args.n, **report.to_json_dict()})
-    return 0 if report.ok else 1
+    report = {
+        "schema": SCHEMA,
+        "n": args.n,
+        "kind": "solvability",
+        "verdict": "PASS",
+        "checks": [
+            {"name": f"{names[small]}*{names[big]}", "ok": True, "witness": ""}
+            for big, small in pairs
+        ],
+        "meta": {"system": system.name, "ngens": system.ngens, "pairs": len(pairs)},
+    }
+    _emit(args, lines, report)
+    return 0
 
 
 def _cmd_build_mq(args) -> int:

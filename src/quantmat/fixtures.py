@@ -6,10 +6,9 @@ These are exercise fixtures, not core engine API.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Optional
+from math import isqrt
 
 from .errors import InvalidSpec
-from .mq import MqSpec, build_mq
 from .pbw import Polynomial, gen_index
 from .qfield import QRat
 from .straighten import CommutationSystem, scalar_mul
@@ -24,20 +23,17 @@ def _inversions(perm: tuple[int, ...]) -> int:
     )
 
 
-def quantum_determinant(
-    spec: MqSpec, sys: Optional[CommutationSystem] = None
-) -> Polynomial:
-    """Sum over permutations of (-q)^inv(sigma) z[1,sigma(1)] ... z[n,sigma(n)].
+def quantum_determinant(sys: CommutationSystem) -> Polynomial:
+    """Sum over permutations of (-q)^inv(sigma) z[1,sigma(1)] ... z[n,sigma(n)]
+    in the M_q(n) system sys, n the square root of its generator count.
 
     Central in M_q(n); each row-ordered product is straightened into the
-    descending basis before the signed powers of q are attached.  Pass a
-    prebuilt system to reuse its straightening cache.
+    descending basis before the signed powers of q, at the system's q,
+    are attached.
     """
-    if sys is None:
-        sys = build_mq(spec)
-    n = spec.n
-    if sys.ngens != n * n:
-        raise InvalidSpec(f"system has {sys.ngens} generators, expected {n * n}")
+    n = isqrt(sys.ngens)
+    if n < 2 or n * n != sys.ngens:
+        raise InvalidSpec(f"system has {sys.ngens} generators, not n^2 for an n >= 2")
     total = Polynomial.zero(sys.ngens)
     for perm in permutations(range(1, n + 1)):
         word = Polynomial.one(sys.ngens)

@@ -15,7 +15,6 @@ makes its two letters commute).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
@@ -63,12 +62,6 @@ def build_mq(spec: MqSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> CommutationS
         hook = Q - Q.inv()
     else:
         v = spec.qmode.value
-        # q = -1 keeps lam = -1 on R1/R2, so only q = 1 commutes
-        if v == 1:
-            warnings.warn(
-                f"q = {v} makes M_q({n}) a commutative polynomial ring",
-                stacklevel=2,
-            )
         lam_q = QRat.from_rational(v)
         hook = QRat.from_rational(v - 1 / v)
     zero_poly = Polynomial.zero(ngens)

@@ -8,8 +8,9 @@ quantum plane and the first Weyl algebra ship as controls, one without
 tails and one with.
 
 ``validate_solvability`` checks a table: for every pair, lam != 0 and
-LM(f) below z_big z_small.  Every system runs it when built, with no way
-to skip it.  With PaperLex a lex order on exponent vectors, that is all
+LM(f) below z_big z_small.  It returns the pairs it checked or raises
+``InvalidSpec`` naming each failing pair; every system runs it when
+built, with no way to skip it.  With PaperLex a lex order on exponent vectors, that is all
 the engine needs of its ordering: a product u*v then leads with u + v
 times a nonzero scalar.
 
@@ -31,7 +32,6 @@ word by the same fold, in place, under the same degree guard as
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -78,12 +78,7 @@ class CommutationSystem:
             raise InvalidSpec(f"degree guard must be >= 0, got {max_degree}")
         gen_names = gen_names or tuple(f"g{k}" for k in range(ngens))
         table = dict(table)
-        report = validate_solvability(ngens, table, gen_names, name)
-        if not report.ok:
-            raise InvalidSpec(
-                "commutation table violates solvability: "
-                + "; ".join(c.witness for c in report.failures())
-            )
+        validate_solvability(ngens, table, gen_names)
         self.ngens = ngens
         self.table = MappingProxyType(table)
         self.qmode = qmode
@@ -279,43 +274,16 @@ def scalar_mul(c: QRat, f: Polynomial) -> Polynomial:
 # -- validation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    witness: str = ""
-
-
-@dataclass
-class ValidationReport:
-    kind: str
-    ok: bool
-    checks: list[CheckResult] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": "PASS" if self.ok else "FAIL",
-            "checks": [
-                {"name": c.name, "ok": c.ok, "witness": c.witness}
-                for c in self.checks
-            ],
-            "meta": self.meta,
-        }
-
-
 def validate_solvability(
     ngens: int,
     table: Mapping[tuple[int, int], tuple[QRat, Polynomial]],
     gen_names: tuple[str, ...],
-    name: str = "",
-) -> ValidationReport:
+) -> list[tuple[int, int]]:
     """Check every pair of a table: lam in K^* and LM(f) strictly below
-    the basis word.  A table not shaped as one raises ``InvalidSpec``, or
+    the basis word, and return the (big, small) pairs checked, in order.
+
+    A failed pair raises ``InvalidSpec`` naming every failing pair with its
+    witness; a table not shaped as one raises ``InvalidSpec``, or
     ``MissingPair`` for an absent pair."""
     if ngens < 1:
         raise InvalidSpec("need at least one generator")
@@ -328,7 +296,7 @@ def validate_solvability(
             f"table key {min(map(repr, stray))} is not a pair (big, small) "
             f"with {ngens} > big > small >= 0"
         )
-    checks = []
+    failures = []
     for key in pairs:
         big, small = key
         if key not in table:
@@ -343,14 +311,13 @@ def validate_solvability(
             word = mono_sum(Monomial.gen(big, ngens), Monomial.gen(small, ngens))
             if compare_monomials(f.lm(), word) != LESS:
                 witness = f"LM(f) = {f.lm()} not below {word}"
-        label = f"{gen_names[small]}*{gen_names[big]}"
-        checks.append(CheckResult(label, not witness, witness))
-    return ValidationReport(
-        kind="solvability",
-        ok=all(c.ok for c in checks),
-        checks=checks,
-        meta={"system": name, "ngens": ngens, "pairs": len(checks)},
-    )
+        if witness:
+            failures.append(f"{gen_names[small]}*{gen_names[big]}: {witness}")
+    if failures:
+        raise InvalidSpec(
+            "commutation table violates solvability: " + "; ".join(failures)
+        )
+    return pairs
 
 
 # -- shipped control instances ------------------------------------------

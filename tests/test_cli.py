@@ -111,6 +111,19 @@ def test_validate(capsys):
     assert out == "solvability: M_q(2)\npairs checked: 6\nfailures: 0\nverdict: PASS\n"
 
 
+def test_q_one_leaves_stderr_empty(module_cli):
+    # q = 1 is a supported specialization, not a warning
+    command, env = module_cli
+    proc = subprocess.run(
+        command + ["nf", "--n", "2", "--q", "1", "z[1,1]"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "z[1,1]\n", "")
+
+
 def test_build_mq(capsys):
     code, out, _ = run(capsys, "build-mq", "--n", "2")
     assert code == 0
@@ -297,6 +310,18 @@ def test_file_flag_conflict(tmp_path, capsys):
     # a matching --n is redundant but allowed
     code, _, _ = run(capsys, "gb", "--file", str(path), "--n", "2")
     assert code == 0
+
+
+def test_flag_q_and_file_q_compare_as_values(tmp_path, capsys):
+    # --q 2/1 names the file's q = 2; the output keeps the file's spelling
+    path = tmp_path / "q2.json"
+    save_ideal(IdealFile(n=2, generators=["z[1,1]"], q="2"), path)
+    for flags in ([], ["--json"]):
+        expected = run(capsys, "gb", "--file", str(path), "--q", "2", *flags)
+        assert expected[0] == 0
+        assert run(capsys, "gb", "--file", str(path), "--q", "2/1", *flags) == expected
+    code, _, err = run(capsys, "gb", "--file", str(path), "--q", "3")
+    assert (code, err) == (2, "error: --q 3 conflicts with file q 2\n")
 
 
 def test_missing_file_exits_2(capsys):
@@ -624,7 +649,6 @@ _IDEAL_JSON = st.one_of(
 _IDEAL_COMMANDS = ("gb", "member", "gkdim", "hilbert", "eliminate")
 
 
-@pytest.mark.filterwarnings("ignore:q = 1 makes")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fuzzed_commands_exit_with_a_code_and_one_error_line(tmp_path_factory, data):

@@ -275,18 +275,9 @@ def test_lm_multiplicative(sys2, sys3):
             assert p.lm() == mono_sum(f.lm(), g.lm())
 
 
-def _report(sys):
-    return validate_solvability(sys.ngens, sys.table, sys.gen_names, sys.name)
-
-
 def test_validate_solvability_passes(sys2):
-    report = _report(sys2)
-    assert report.ok
-    assert report.kind == "solvability"
-    assert len(report.checks) == 6
-    assert report.meta == {"system": "M_q(2)", "ngens": 4, "pairs": 6}
-    d = report.to_json_dict()
-    assert d["verdict"] == "PASS"
+    pairs = validate_solvability(sys2.ngens, sys2.table, sys2.gen_names)
+    assert pairs == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
 
 def test_table_is_read_only(sys2):
@@ -326,13 +317,43 @@ def test_tampered_lambda_zero(sys2):
     table = dict(sys2.table)
     lam, f = table[(1, 0)]
     table[(1, 0)] = (QRat((0,)), f)
-    report = validate_solvability(4, table, sys2.gen_names)
-    assert not report.ok
-    bad_checks = report.failures()
-    assert len(bad_checks) == 1
-    assert bad_checks[0].witness == "lambda = 0"
-    with pytest.raises(InvalidSpec, match="lambda = 0"):
+    # the one failing pair, and nothing after it
+    match = re.escape("solvability: z[1,1]*z[1,2]: lambda = 0") + "$"
+    with pytest.raises(InvalidSpec, match=match):
+        validate_solvability(4, table, sys2.gen_names)
+    with pytest.raises(InvalidSpec, match=match):
         CommutationSystem(4, table, gen_names=sys2.gen_names)
+
+
+@pytest.mark.parametrize(
+    "key, pair",
+    [
+        ((1, 0), "z[1,1]*z[1,2]"),
+        ((2, 0), "z[1,1]*z[2,1]"),
+        ((2, 1), "z[1,2]*z[2,1]"),
+        ((3, 0), "z[1,1]*z[2,2]"),
+        ((3, 1), "z[1,2]*z[2,2]"),
+        ((3, 2), "z[2,1]*z[2,2]"),
+    ],
+)
+def test_lambda_zero_names_its_pair(sys2, key, pair):
+    table = dict(sys2.table)
+    table[key] = (ZERO, table[key][1])
+    match = re.escape(f"solvability: {pair}: lambda = 0") + "$"
+    with pytest.raises(InvalidSpec, match=match):
+        validate_solvability(4, table, sys2.gen_names)
+
+
+def test_every_failing_pair_is_named(sys2):
+    table = dict(sys2.table)
+    for key in ((2, 1), (3, 2)):
+        table[key] = (ZERO, table[key][1])
+    message = (
+        "commutation table violates solvability: "
+        "z[1,2]*z[2,1]: lambda = 0; z[2,1]*z[2,2]: lambda = 0"
+    )
+    with pytest.raises(InvalidSpec, match=re.escape(message) + "$"):
+        validate_solvability(4, table, sys2.gen_names)
 
 
 def test_tampered_tail_not_below(sys2):
@@ -341,12 +362,11 @@ def test_tampered_tail_not_below(sys2):
     lam, _ = table[(3, 0)]
     big = Polynomial.from_mono(Monomial((0, 0, 0, 2)))
     table[(3, 0)] = (lam, big)
-    report = validate_solvability(4, table, sys2.gen_names)
-    assert not report.ok
     witness = "LM(f) = (0, 0, 0, 2) not below (1, 0, 0, 1)"
-    assert report.failures()[0].witness == witness
-    assert report.failures()[0].name == "z[1,1]*z[2,2]"
-    with pytest.raises(InvalidSpec, match=re.escape(witness)):
+    match = re.escape(f"solvability: z[1,1]*z[2,2]: {witness}") + "$"
+    with pytest.raises(InvalidSpec, match=match):
+        validate_solvability(4, table, sys2.gen_names)
+    with pytest.raises(InvalidSpec, match=match):
         CommutationSystem(4, table, gen_names=sys2.gen_names)
 
 

@@ -110,7 +110,7 @@ def test_parse_rejects_nonscalar_division(sys2):
 
 
 def test_format_frozen(sys2):
-    det = quantum_determinant(MqSpec(2), sys2)
+    det = quantum_determinant(sys2)
     assert format_poly(det, sys2.gen_names) == "z[2,2]*z[1,1] - 1/q*z[2,1]*z[1,2]"
     assert format_poly(det - det, sys2.gen_names) == "0"
     assert format_mono(det.lm(), sys2.gen_names) == "z[2,2]*z[1,1]"
