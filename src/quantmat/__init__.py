@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     QuantmatError,
 )
-from .qfield import ONE, Q, QMode, QRat, SYMBOLIC, ZERO
+from .qfield import ONE, Q, QMode, QRat, SYMBOLIC, ZERO, format_qrat
 from .pbw import (
     Monomial,
     Polynomial,
@@ -40,8 +40,7 @@ from .straighten import (
     validate_solvability,
     weyl_algebra,
 )
-from .mq import MqSpec, build_mq, classify_pair
-from .fixtures import quantum_determinant
+from .mq import MqSpec, build_mq, classify_pair, quantum_determinant
 from .groebner import (
     BasisStats,
     GroebnerBasis,
@@ -62,7 +61,6 @@ from .textio import (
     IdealFile,
     format_mono,
     format_poly,
-    format_qrat,
     load_ideal,
     parse_poly,
     save_ideal,

@@ -1,4 +1,5 @@
-"""Presentation of the standard quantized matrix algebra on n^2 generators.
+"""The standard quantized matrix algebra on n^2 generators: its presentation
+and its quantum determinant.
 
 Generators z[i,j] carry the linear index (i-1)n + (j-1), which
 ``gen_index`` gives; a larger index means a larger generator.  Every
@@ -10,17 +11,20 @@ ordered pair falls under exactly one of four commutation patterns:
   R4  rows and columns both increase  ->  lam = 1,  tail (q - 1/q) z[s,j] z[i,t]
 
 The R4 tail is stored as a descending basis word (the crossing pattern R3
-makes its two letters commute).
+makes its two letters commute).  Every power of q, here and in the
+determinant, is built in the system's field by `QMode.q_power`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
+from math import isqrt
 
 from .errors import InvalidSpec
 from .pbw import Monomial, Polynomial, gen_index, mono_sum
-from .qfield import ONE, Q, QMode, QRat, SYMBOLIC
-from .straighten import DEFAULT_MAX_DEGREE, CommutationSystem
+from .qfield import ONE, QMode, SYMBOLIC
+from .straighten import DEFAULT_MAX_DEGREE, CommutationSystem, scalar_mul
 
 
 # M_q(n) has n^2 (n^2 - 1) / 2 relations, and building a system builds
@@ -57,13 +61,8 @@ def build_mq(spec: MqSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> CommutationS
     """Commutation system of M_q(n), validated under the shipped ordering."""
     n = spec.n
     ngens = n * n
-    if spec.qmode.is_symbolic:
-        lam_q = Q
-        hook = Q - Q.inv()
-    else:
-        v = spec.qmode.value
-        lam_q = QRat.from_rational(v)
-        hook = QRat.from_rational(v - 1 / v)
+    q = spec.qmode.q_power(1)
+    hook = q - q.inv()
     zero_poly = Polynomial.zero(ngens)
 
     # (row, col) of each generator, inverting gen_index
@@ -75,7 +74,7 @@ def build_mq(spec: MqSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> CommutationS
             i, j = entries[small]
             pattern = classify_pair((s, t), (i, j))
             if pattern in ("R1", "R2"):
-                table[(big, small)] = (lam_q, zero_poly)
+                table[(big, small)] = (q, zero_poly)
             elif pattern == "R3":
                 table[(big, small)] = (ONE, zero_poly)
             else:
@@ -95,3 +94,25 @@ def build_mq(spec: MqSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> CommutationS
         max_degree=max_degree,
         name=f"M_q({n})",
     )
+
+
+def quantum_determinant(sys: CommutationSystem) -> Polynomial:
+    """Sum over permutations of (-q)^inv(sigma) z[1,sigma(1)] ... z[n,sigma(n)]
+    in the M_q(n) system sys, n the square root of its generator count.
+
+    Central in M_q(n); each row-ordered product is straightened into the
+    descending basis before the signed powers of q, at the system's q,
+    are attached.
+    """
+    n = isqrt(sys.ngens)
+    if n < 2 or n * n != sys.ngens:
+        raise InvalidSpec(f"system has {sys.ngens} generators, not n^2 for an n >= 2")
+    total = Polynomial.zero(sys.ngens)
+    for perm in permutations(range(1, n + 1)):
+        word = Polynomial.one(sys.ngens)
+        for row, col in enumerate(perm, start=1):
+            word = sys.poly_mul(word, sys.gen_poly(gen_index(row, col, n)))
+        k = sum(a > b for a, b in combinations(perm, 2))  # inversions
+        coeff = sys.qmode.q_power(k)
+        total = total + scalar_mul(-coeff if k % 2 else coeff, word)
+    return total

@@ -1,5 +1,10 @@
 """Exact arithmetic in Q(q), rational functions in the quantum parameter.
 
+Only this module reads how an element is stored.  Other modules build
+one from `QRat.from_rational`, `QMode.q_power` (q^k in a system's field,
+within its size bounds) and arithmetic, and print it with `format_qrat`
+or `format_factor`.
+
 A polynomial in q is a tuple of coefficients, index k holding the
 coefficient of q^k; the trailing entry is nonzero and () is the zero
 polynomial.
@@ -15,10 +20,11 @@ Laurent monomials c*q^k: their n and d are constants, and their products
 and same-power sums take integer arithmetic only.  A product adds the
 powers and cancels n and d crosswise before it multiplies (Henrici 1956),
 so it never takes the gcd of the full product; a sum shifts the higher
-term's numerator down to the lower power.  Results are reduced with
-`pgcd`, the gcd in Z[q] by the primitive polynomial remainder sequence
-(Collins 1967; Brown 1971), or with the integer gcd when one side is a
-constant.
+term's numerator down to the lower power, and refuses with
+`DegreeGuardExceeded` when that shift would span more than
+``_MAX_QSPAN`` powers of q.  Results are reduced with `pgcd`, the gcd in
+Z[q] by the primitive polynomial remainder sequence (Collins 1967; Brown
+1971), or with the integer gcd when one side is a constant.
 
 `QRat.num` and `QRat.den` are a read-only view of the same value over the
 rationals: coefficients are int where integral and Fraction otherwise
@@ -29,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
-from .errors import DivisionByZero, EvaluationPole, InvalidSpec
+from .errors import DegreeGuardExceeded, DivisionByZero, EvaluationPole, InvalidSpec
 
 Coef = Union[int, Fraction]
 # tuple[Coef, ...], lowest degree first, trailing entry nonzero; the
@@ -203,19 +209,51 @@ def _horner(a: QPoly, u: int, w: int) -> int:
     return acc
 
 
+# At numeric q, q^k is an exact rational of about |k| times the bits of q;
+# a power beyond this many bits is refused instead of computed.
+_MAX_QPOWER_BITS = 1 << 20
+# At symbolic q, q^k is kept as its exponent; a larger |k| is refused, so
+# no exponent overflows an index.
+_MAX_SYMBOLIC_QPOWER = 1 << 31
+# A sum of terms whose powers of q lie far apart pads the higher term's
+# numerator down to the lower power; it may span at most this many powers.
+_MAX_QSPAN = 1 << 16
+
+
 @dataclass(frozen=True)
 class QMode:
-    """Base-field instance: symbolic Q(q) or q specialized at a nonzero rational."""
+    """Base-field instance: symbolic Q(q) (value None) or q specialized at a
+    nonzero int or Fraction, stored as a Fraction."""
 
     value: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.value is not None and self.value == 0:
+        v = self.value
+        if v is None:
+            return
+        # a float, str or bool (an int subclass) would fail later, in arithmetic or printing
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise InvalidSpec(f"numeric q must be an int or a Fraction, got {v!r}")
+        if not v:
             raise InvalidSpec("numeric q must be nonzero")
+        if isinstance(v, int):
+            object.__setattr__(self, "value", Fraction(v))
 
     @property
     def is_symbolic(self) -> bool:
         return self.value is None
+
+    def q_power(self, k: int) -> "QRat":
+        """q^k in this field, k may be negative; InvalidSpec past the bounds above."""
+        q = self.value
+        if q is None:
+            if abs(k) > _MAX_SYMBOLIC_QPOWER:
+                raise InvalidSpec(f"q^{k} exceeds the exponent bound {_MAX_SYMBOLIC_QPOWER}")
+            return QRat.q_power(k)
+        bits = abs(k) * max(q.numerator.bit_length(), q.denominator.bit_length())
+        if bits > _MAX_QPOWER_BITS:
+            raise InvalidSpec(f"q^{k} at q = {q} exceeds {_MAX_QPOWER_BITS} bits")
+        return QRat.from_rational(q**k)
 
     @staticmethod
     def numeric(value) -> "QMode":
@@ -241,28 +279,19 @@ class QRat:
     """Canonical element of Q(q), stored as q^v * n/d.
 
     n and d are coprime in Z[q], neither is divisible by q, and
-    lead(d) > 0; zero is n = (), d = (1,), v = 0.  `QRat(num, den)` takes
-    int or Fraction coefficient tuples and clears their denominators.
-    `num` and `den` read the value back over the rationals, with den monic.
+    lead(d) > 0; zero is n = (), d = (1,), v = 0.  There is no public
+    constructor: values come from `from_rational`, `q_power`,
+    `QMode.q_power`, arithmetic and `specialize`.  `num` and `den` read
+    the value back over the rationals, with den monic.
     """
 
     __slots__ = ("_n", "_d", "_v")
 
-    def __init__(self, num, den=P_ONE):
-        num = pstrip(num)
-        den = pstrip(den)
-        if not den:
-            raise DivisionByZero("zero denominator in Q(q)")
-        if not num:
-            self._n, self._d, self._v = P_ZERO, P_ONE, 0
-            return
-        scale = lcm(*(x.denominator for x in num + den))
-        num, vn = _split(tuple(x.numerator * (scale // x.denominator) for x in num))
-        den, vd = _split(tuple(x.numerator * (scale // x.denominator) for x in den))
-        num, den = _cancel(num, den)
-        if den[-1] < 0:
-            num, den = pneg(num), pneg(den)
-        self._n, self._d, self._v = num, den, vn - vd
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("QRat has no constructor; use from_rational, q_power, arithmetic")
+
+    def __reduce__(self):  # copy and pickle without the constructor
+        return _make, (self._n, self._d, self._v)
 
     # -- constructors -------------------------------------------------
 
@@ -275,7 +304,7 @@ class QRat:
 
     @staticmethod
     def q_power(k: int) -> "QRat":
-        """The monomial q^k, k may be negative."""
+        """The monomial q^k of Q(q), k may be negative."""
         return _make(P_ONE, P_ONE, k)
 
     # -- the view over the rationals ------------------------------------
@@ -322,6 +351,11 @@ class QRat:
             # then keeps the lower term's constant term, so stays q-free
             if v > w:
                 a, b, v, c, d, w = c, d, w, a, b, v
+            span = w - v + len(c)
+            if span > _MAX_QSPAN:
+                raise DegreeGuardExceeded(
+                    f"sum spans {span} powers of q, past the guard {_MAX_QSPAN}"
+                )
             c = (0,) * (w - v) + c
         elif len(a) == len(b) == len(c) == len(d) == 1:
             return _rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0], v)
@@ -432,8 +466,6 @@ class QRat:
         return f"QRat({self})"
 
     def __str__(self):
-        from .textio import format_qrat  # cyclic only at call time
-
         return format_qrat(self)
 
 
@@ -465,3 +497,94 @@ ZERO = _make(P_ZERO, P_ONE, 0)
 ONE = _make(P_ONE, P_ONE, 0)
 Q = _make(P_ONE, P_ONE, 1)
 Q_INV = _make(P_ONE, P_ONE, -1)
+
+
+# -- text -----------------------------------------------------------------
+
+# str(int) refuses integers of more than 4,300 digits unless the
+# interpreter-wide limit is raised; below this bound it is always safe
+_STR_BOUND = 10**4000
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of an integer n >= 0 of any length.
+
+    A long n is split by divmod with a power of ten into halves that are
+    rendered the same way, so no single conversion passes the limit.
+    """
+    if n < _STR_BOUND:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).rjust(k, "0")
+
+
+def _fmt_qpoly(p: QPoly, shift: int, lead: int) -> tuple[str, int]:
+    """Render q^shift * p / lead, highest power first; returns (text, #terms).
+
+    p is a nonzero polynomial of integers; a coefficient that lead does
+    not divide prints as a reduced fraction.  The shift is added to the
+    printed exponents, so q^k is never padded out to a tuple of length k.
+    """
+    pieces = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if not c:
+            continue
+        neg = c < 0
+        a = -c if neg else c
+        if lead != 1:
+            a = _ratio(a, lead)
+        if isinstance(a, Fraction):
+            text = f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
+        else:
+            text = _decimal(a)
+        k += shift
+        if k == 0:
+            body = text
+        else:
+            qs = "q" if k == 1 else f"q^{k}"
+            body = qs if a == 1 else f"{text}*{qs}"
+        if not pieces:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append((" - " if neg else " + ") + body)
+    return "".join(pieces), len(pieces)
+
+
+def _qrat_core(a: QRat) -> tuple[bool, str, bool]:
+    """(a < 0, text of |a|, whether that text needs parens before '*') for
+    a nonzero a.
+
+    Renders the stored q^v * n/d as num/den over the rationals, with den
+    monic and the power of q on whichever side keeps both polynomials:
+    the text of ``a.num`` and ``a.den`` without building their padding.
+    """
+    n, d, v = a._n, a._d, a._v
+    neg = n[-1] < 0
+    lead = d[-1]
+    num_s, num_terms = _fmt_qpoly(pneg(n) if neg else n, max(v, 0), lead)
+    if len(d) == 1 and v >= 0:
+        return neg, num_s, num_terms > 1
+    den_s, den_terms = _fmt_qpoly(d, max(-v, 0), lead)
+    nm = f"({num_s})" if num_terms > 1 else num_s
+    dn = f"({den_s})" if den_terms > 1 else den_s
+    return neg, f"{nm}/{dn}", False
+
+
+def format_qrat(c: QRat) -> str:
+    """Standalone coefficient text, e.g. '-(q^2 - 1)/q'."""
+    if c.is_zero():
+        return "0"
+    neg, core, _ = _qrat_core(c)
+    return ("-" + core) if neg else core
+
+
+def format_factor(c: QRat) -> tuple[bool, str]:
+    """(c < 0, text of |c| safe to follow with '*...') for a nonzero c.
+
+    |c| = 1 prints as '1'; a numerator of several terms over no
+    denominator is parenthesized, e.g. (True, '(q + 1)') for -q - 1.
+    """
+    neg, core, needs_parens = _qrat_core(c)
+    return neg, (f"({core})" if needs_parens else core)

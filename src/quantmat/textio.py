@@ -11,13 +11,14 @@ division is permitted by nonzero scalar factors only):
 Expressions are evaluated as parsed: each grammar rule returns the
 canonical polynomial of the text it read, and no syntax tree is built.
 Errors are therefore reported in text order; an evaluation error (the
-degree guard, a non-scalar divisor, a numeric q^k past
-``_MAX_QPOWER_BITS``, a symbolic one past ``_MAX_SYMBOLIC_QPOWER``)
-precedes any syntax error further right.
+degree guard, a non-scalar divisor, a q^k past the bounds of
+`QMode.q_power`, a sum of powers of q past the span guard of
+`quantmat.qfield`) precedes any syntax error further right.
 
 Formatting emits terms in descending basis order and round-trips:
 parse_poly(format_poly(p)) == p exactly, unless it prints an integer
-longer than the parser accepts (4,300 digits).
+longer than the parser accepts (4,300 digits).  The text of each
+coefficient comes from `quantmat.qfield.format_factor`.
 """
 
 from __future__ import annotations
@@ -25,106 +26,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
 from .errors import InvalidSpec, NegativeGeneratorPower, ParseError
 from .mq import MqSpec
 from .pbw import Monomial, Polynomial, gen_index
-from .qfield import QMode, QRat
+from .qfield import QMode, QRat, format_factor
 from .straighten import CommutationSystem, scalar_mul
 
 SCHEMA_VERSION = 1
-
-
-# -- coefficient formatting ----------------------------------------------
-
-# str(int) refuses integers of more than 4,300 digits unless the
-# interpreter-wide limit is raised; below this bound it is always safe
-_STR_BOUND = 10**4000
-
-
-def _decimal(n: int) -> str:
-    """Decimal text of an integer n >= 0 of any length.
-
-    A long n is split by divmod with a power of ten into halves that are
-    rendered the same way, so no single conversion passes the limit.
-    """
-    if n < _STR_BOUND:
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half of n's digits
-    hi, lo = divmod(n, 10**k)
-    return _decimal(hi) + _decimal(lo).rjust(k, "0")
-
-
-def _fmt_qpoly(p: tuple, shift: int, lead: int) -> tuple[str, int]:
-    """Render q^shift * p / lead, highest power first; returns (text, #terms).
-
-    p holds integers; a coefficient that lead does not divide prints as a
-    reduced fraction.  The shift is added to the printed exponents, so
-    q^k is never padded out to a tuple of length k.
-    """
-    pieces = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        neg = c < 0
-        a = -c if neg else c
-        if lead != 1:
-            quo, rem = divmod(a, lead)
-            a = Fraction(a, lead) if rem else quo
-        if isinstance(a, Fraction):
-            text = f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
-        else:
-            text = _decimal(a)
-        k += shift
-        if k == 0:
-            body = text
-        else:
-            qs = "q" if k == 1 else f"q^{k}"
-            body = qs if a == 1 else f"{text}*{qs}"
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    if not pieces:
-        return "0", 0
-    return "".join(pieces), len(pieces)
-
-
-def _qrat_core(a: QRat) -> tuple[str, bool]:
-    """Positive-sign rendering; the flag says parens are needed before '*'.
-
-    Renders the stored q^v * n/d as num/den over the rationals, with den
-    monic and the power of q on whichever side keeps both polynomials:
-    the text of ``a.num`` and ``a.den`` without building their padding.
-    """
-    n, d, v = a._n, a._d, a._v
-    lead = d[-1]
-    num_s, num_terms = _fmt_qpoly(n, max(v, 0), lead)
-    if len(d) == 1 and v >= 0:
-        return num_s, num_terms > 1
-    den_s, den_terms = _fmt_qpoly(d, max(-v, 0), lead)
-    nm = f"({num_s})" if num_terms > 1 else num_s
-    dn = f"({den_s})" if den_terms > 1 else den_s
-    return f"{nm}/{dn}", False
-
-
-def format_qrat(c: QRat) -> str:
-    """Standalone coefficient text, e.g. '-(q^2 - 1)/q'."""
-    if c.is_zero():
-        return "0"
-    neg = c.sign() < 0
-    core, _ = _qrat_core(-c if neg else c)
-    return ("-" + core) if neg else core
-
-
-def _coeff_product(a: QRat) -> str:
-    """Positive coefficient as a factor string safe to follow with '*...'."""
-    core, needs_parens = _qrat_core(a)
-    return f"({core})" if needs_parens else core
 
 
 def format_mono(m: Monomial, names: Sequence[str]) -> str:
@@ -143,14 +54,13 @@ def format_poly(p: Polynomial, names: Sequence[str]) -> str:
         return "0"
     out = []
     for c, m in p.terms:
-        neg = c.sign() < 0
-        a = -c if neg else c
+        neg, factor = format_factor(c)
         if m.is_unit():
-            body = _coeff_product(a)
-        elif a.is_one():
+            body = factor
+        elif factor == "1":
             body = format_mono(m, names)
         else:
-            body = f"{_coeff_product(a)}*{format_mono(m, names)}"
+            body = f"{factor}*{format_mono(m, names)}"
         if not out:
             out.append(("-" if neg else "") + body)
         else:
@@ -162,15 +72,6 @@ def format_poly(p: Polynomial, names: Sequence[str]) -> str:
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z]+)|(\S)")
 _SYMBOLS = set("+-*/^()[],")
-
-# At numeric q, q^k is an exact rational of about |k| times the bits of q;
-# a written power beyond this many bits is rejected instead of computed.
-_MAX_QPOWER_BITS = 1 << 20
-# At symbolic q, q^k is kept as its exponent, but a sum of two powers pads
-# a coefficient tuple to their distance; a written |k| beyond this bound is
-# rejected, so no exponent overflows an index.
-_MAX_SYMBOLIC_QPOWER = 1 << 31
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -253,12 +154,14 @@ class _Parser:
         if kind == "name":
             if text == "q":
                 self.take("name")
-                power = 1
+                power, at = 1, pos
                 if self.peek()[0] == "^":
                     at = self.tokens[self.i + 1][2]  # the exponent, after '^'
                     power = self._exponent(allow_negative=True)
-                    self._check_q_power(power, at)
-                c = QRat.q_power(power).specialize(self.sys.qmode)
+                try:
+                    c = self.sys.qmode.q_power(power)
+                except InvalidSpec as exc:  # past a bound on q^k
+                    raise ParseError(str(exc), at) from None
                 return Polynomial.from_mono(Monomial.unit(ngens), c)
             if text == "z":
                 self.take("name")
@@ -303,18 +206,6 @@ class _Parser:
             neg = True
         value = self._integer()
         return -value if neg else value
-
-    def _check_q_power(self, power: int, pos: int) -> None:
-        q = self.sys.qmode.value
-        if q is None:
-            if abs(power) > _MAX_SYMBOLIC_QPOWER:
-                raise ParseError(
-                    f"q^{power} exceeds the exponent bound {_MAX_SYMBOLIC_QPOWER}", pos
-                )
-            return
-        bits = abs(power) * max(q.numerator.bit_length(), q.denominator.bit_length())
-        if bits > _MAX_QPOWER_BITS:
-            raise ParseError(f"q^{power} at q = {q} exceeds {_MAX_QPOWER_BITS} bits", pos)
 
 
 def parse_poly(text: str, sys: CommutationSystem) -> Polynomial:

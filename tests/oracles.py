@@ -40,7 +40,7 @@ from quantmat.pbw import (
     mono_sub,
     poly_from_dict,
 )
-from quantmat.qfield import ONE
+from quantmat.qfield import ONE, ZERO
 from quantmat.straighten import scalar_mul
 
 
@@ -61,7 +61,8 @@ def _qpadd(a, b):
     return tuple(out)
 
 
-def _qpmul(a, b):
+def qpmul(a, b):
+    """Product of polynomials with int or Fraction coefficients."""
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -114,18 +115,33 @@ def rat_canonical(num, den):
 
 
 def rat_add(x, y):
-    num = _qpadd(_qpmul(x[0], y[1]), _qpmul(y[0], x[1]))
-    return rat_canonical(num, _qpmul(x[1], y[1]))
+    num = _qpadd(qpmul(x[0], y[1]), qpmul(y[0], x[1]))
+    return rat_canonical(num, qpmul(x[1], y[1]))
 
 
 def rat_mul(x, y):
-    return rat_canonical(_qpmul(x[0], y[0]), _qpmul(x[1], y[1]))
+    return rat_canonical(qpmul(x[0], y[0]), qpmul(x[1], y[1]))
 
 
 def rat_inv(x):
     if not x[0]:
         raise DivisionByZero("inversion of zero")
     return rat_canonical(x[1], x[0])
+
+
+def qrat(num, den=(1,)) -> QRat:
+    """num/den as a QRat, for int or Fraction coefficient tuples, lowest
+    power first; built by QRat's public arithmetic, so it reduces any
+    representative.  A zero den raises DivisionByZero."""
+
+    def poly(coeffs):
+        acc = ZERO
+        for k, c in enumerate(coeffs):
+            if c:
+                acc = acc + QRat.from_rational(c) * QRat.q_power(k)
+        return acc
+
+    return poly(num) / poly(den)
 
 
 def rat_eval(a, v: Fraction) -> Fraction:
@@ -149,7 +165,7 @@ def _render_qpoly(p) -> tuple[str, int]:
 
 
 def render_rat(x) -> str:
-    """The coefficient text of textio.format_qrat, from the reduced pair."""
+    """The coefficient text of qfield.format_qrat, from the reduced pair."""
     num, den = x
     if not num:
         return "0"
@@ -166,7 +182,7 @@ def render_rat(x) -> str:
 
 
 def view_format_qrat(c: QRat) -> str:
-    """textio.format_qrat as it was before it printed from the stored parts:
+    """qfield.format_qrat as it was before it printed from the stored parts:
     render the padded num/den view, whose length grows with the power of q."""
     return render_rat((c.num, c.den))
 

@@ -23,9 +23,8 @@ from quantmat.dimension import (
     make_staircase,
 )
 from quantmat.errors import InvalidSpec
-from quantmat.fixtures import quantum_determinant
 from quantmat.groebner import buchberger, ideal_member, left_divide, left_spoly
-from quantmat.mq import MqSpec, build_mq
+from quantmat.mq import MqSpec, build_mq, quantum_determinant
 from quantmat.pbw import (
     Monomial,
     Polynomial,
@@ -87,7 +86,7 @@ def test_c01_solvability_certification(sys2, sys3):
         # negative controls: a dead scaling and an oversized correction
         # term; the check flags each, and no system is built on either
         table = dict(sys2.table)
-        table[(1, 0)] = (QRat((0,)), table[(1, 0)][1])
+        table[(1, 0)] = (QRat.from_rational(0), table[(1, 0)][1])
         with pytest.raises(InvalidSpec, match="lambda = 0"):
             validate_solvability(4, table, sys2.gen_names)
         with pytest.raises(InvalidSpec, match="lambda = 0"):

@@ -83,6 +83,9 @@ def test_hilbert(capsys):
     assert (code, out) == (0, "1, 4, 10, 20, 35\n")
     code, out, _ = run(capsys, "hilbert", "--maxdeg", "2", *DIAG)
     assert (code, out) == (0, "1, 2, 2\n")
+    assert run(capsys, "hilbert", "--n", "2", "--maxdeg", "-1") == (
+        2, "", "error: --maxdeg must be >= 0, got -1\n"
+    )
 
 
 def test_hilbert_high_degree_minors(module_cli):
@@ -428,6 +431,19 @@ def test_symbolic_q_power_past_the_exponent_bound_exits_2(capsys, sign):
     )
 
 
+@pytest.mark.parametrize(
+    "expr, span",
+    [("q^2000000 + 1", 2000001), ("q^2147483648 + q^-2147483648", 4294967297)],
+)
+def test_far_apart_q_powers_exit_3_at_once(capsys, expr, span):
+    # padding the sum would take about 32 bytes per power of q spanned
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", "--n", "2", expr)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: sum spans {span} powers of q, past the guard 65536\n"
+
+
 def test_negative_pair_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gb", *DIAG, "--max-pairs", "-1")
     assert (code, out, err) == (2, "", "error: pair budget must be >= 0, got -1\n")
@@ -606,11 +622,9 @@ def test_double_dash_option_value_exits_2(capsys, argv):
 # -- fuzz of every command ----------------------------------------------
 
 # Expressions come from the parser fuzz: well-formed trees over z[1..2,1..2]
-# and runs of its tokens.  The token digit runs stay at 1-3 digits: at
-# symbolic q a sum of far-apart q-powers pads one coefficient tuple to
-# their distance (QRat.__add__), so q^999999 + 1 costs megabytes without
-# being a fault of the front end.  Valid values are drawn as often as
-# invalid ones, so that most commands get past their input checks.
+# and runs of its tokens, whose digit runs have 1-6 digits.  Valid values
+# are drawn as often as invalid ones, so that most commands get past their
+# input checks.
 _WELL_FORMED = _TREES.map(_render)
 _EXPRS = _WELL_FORMED | st.lists(_FUZZ_TOKENS, max_size=12).map("".join)
 _NS = st.sampled_from([2, 3]) | st.sampled_from([-1, 0, 1, 2, 3, 10**6])

@@ -198,7 +198,7 @@ def test_buchberger_diagonal_fixture(sys2):
 
 
 def test_buchberger_singleton(sys2):
-    G = buchberger([scalar_mul(QRat((2,)), _gp(sys2, 2))], sys2)
+    G = buchberger([scalar_mul(QRat.from_rational(2), _gp(sys2, 2))], sys2)
     assert len(G) == 1
     assert G.elements[0] == _gp(sys2, 2)
     assert G.stats.pairs_considered == 0
@@ -339,7 +339,7 @@ def test_interreduce_head_reduction(sys2):
 
 
 def test_interreduce_idempotent_and_monic(sys2):
-    two_z = scalar_mul(QRat((2,)), _gp(sys2, 0))
+    two_z = scalar_mul(QRat.from_rational(2), _gp(sys2, 0))
     red = _interreduce([two_z], sys2)
     assert red == [_gp(sys2, 0)]
     assert _interreduce(red, sys2) == red

@@ -7,8 +7,7 @@ from itertools import combinations
 import pytest
 
 from quantmat.errors import InvalidSpec
-from quantmat.fixtures import quantum_determinant
-from quantmat.mq import MAX_DIMENSION, MqSpec, build_mq, classify_pair
+from quantmat.mq import MAX_DIMENSION, MqSpec, build_mq, classify_pair, quantum_determinant
 from quantmat.pbw import Monomial, Polynomial, Term
 from quantmat.qfield import ONE, Q, QMode, QRat
 from quantmat.straighten import quantum_plane, validate_solvability

@@ -1,12 +1,14 @@
 """Exact arithmetic in Q(q): canonical forms, field axioms, specialization."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantmat.errors import DivisionByZero, EvaluationPole, InvalidSpec
+from quantmat.errors import DegreeGuardExceeded, DivisionByZero, EvaluationPole, InvalidSpec
 from quantmat.qfield import (
     ONE,
     P_ONE,
@@ -16,17 +18,18 @@ from quantmat.qfield import (
     QRat,
     SYMBOLIC,
     ZERO,
+    format_qrat,
     pgcd,
     pmul,
     pstrip,
 )
 
-from quantmat.textio import format_qrat
-
 from oracles import (
     monic_gcd,
     pdivmod,
     pmonic,
+    qpmul,
+    qrat,
     rat_add,
     rat_canonical,
     rat_eval,
@@ -51,20 +54,20 @@ def test_sum_of_q_and_inverse():
 
 def test_product_cancels_common_factor():
     # (q^2-1)/q * q/(q-1) = q+1
-    left = QRat((-1, 0, 1), (0, 1))
-    right = QRat((0, 1), (-1, 1))
-    assert left * right == QRat((1, 1))
+    left = qrat((-1, 0, 1), (0, 1))
+    right = qrat((0, 1), (-1, 1))
+    assert left * right == qrat((1, 1))
 
 
 def test_inverse_swaps_and_normalizes():
-    c = QRat((-1, 0, 1), (0, 1))
-    assert c.inv() == QRat((0, 1), (-1, 0, 1))
+    c = qrat((-1, 0, 1), (0, 1))
+    assert c.inv() == qrat((0, 1), (-1, 0, 1))
     assert (c * c.inv()).is_one()
 
 
 def test_inverse_makes_denominator_monic():
-    inv = QRat((2,)).inv()
-    assert inv == QRat((Fraction(1, 2),))
+    inv = qrat((2,)).inv()
+    assert inv == qrat((Fraction(1, 2),))
     assert inv.den == P_ONE
 
 
@@ -75,15 +78,13 @@ def test_q_power():
 
 
 def test_non_canonical_inputs_reduce():
-    assert QRat((2, 2), (2,)) == QRat((1, 1))
+    assert qrat((2, 2), (2,)) == qrat((1, 1))
     # q(q-1)/q^2(q-1) = 1/q
-    assert QRat((0, -1, 1), (0, 0, -1, 1)) == Q_INV
-    assert QRat((0, 0, 2), (0, 4)) == QRat((0, 1), (2,))
+    assert qrat((0, -1, 1), (0, 0, -1, 1)) == Q_INV
+    assert qrat((0, 0, 2), (0, 4)) == qrat((0, 1), (2,))
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(DivisionByZero):
-        QRat((1,), ())
     with pytest.raises(DivisionByZero):
         ONE / ZERO
     with pytest.raises(DivisionByZero):
@@ -91,8 +92,8 @@ def test_zero_denominator_rejected():
 
 
 def test_specialize():
-    c = QRat((-1, 0, 1), (0, 1))  # (q^2-1)/q
-    assert c.specialize(QMode.numeric(2)) == QRat((Fraction(3, 2),))
+    c = qrat((-1, 0, 1), (0, 1))  # (q^2-1)/q
+    assert c.specialize(QMode.numeric(2)) == qrat((Fraction(3, 2),))
     assert c.specialize(QMode.numeric(1)).is_zero()
     assert c.specialize(SYMBOLIC) is c
     pole = Q / (Q - QRat.from_rational(2))
@@ -107,11 +108,73 @@ def test_qmode_rejects_zero():
     assert SYMBOLIC.is_symbolic
 
 
+def test_qmode_takes_none_an_int_or_a_fraction():
+    # a str, float or bool q once built a system that failed later, in
+    # arithmetic or printing
+    for bad in ("2", 2.5, True, False, [2]):
+        with pytest.raises(InvalidSpec) as info:
+            QMode(bad)
+        assert str(info.value) == f"numeric q must be an int or a Fraction, got {bad!r}"
+    assert QMode(2) == QMode(Fraction(2)) == QMode.numeric("2")
+    assert type(QMode(2).value) is Fraction and str(QMode(-3)) == "-3"
+    assert QMode(None) == SYMBOLIC
+
+
+@pytest.mark.parametrize("q", ["2", "1/2", "5/3", "-1", "1", "-7/4", "3"])
+def test_q_power_is_the_specialized_power(q):
+    mode = QMode.numeric(q)
+    for k in range(-12, 13):
+        c = mode.q_power(k)
+        assert c == QRat.q_power(k).specialize(mode)
+        assert c == QRat.from_rational(mode.value**k)
+    assert all(SYMBOLIC.q_power(k) == QRat.q_power(k) for k in range(-12, 13))
+
+
+def test_q_power_bounds():
+    assert SYMBOLIC.q_power(-(2**31)) == QRat.q_power(-(2**31))
+    with pytest.raises(InvalidSpec) as info:
+        SYMBOLIC.q_power(2**31 + 1)
+    assert str(info.value) == "q^2147483649 exceeds the exponent bound 2147483648"
+    assert QMode(2).q_power(2**19) == QRat.from_rational(2 ** (2**19))
+    with pytest.raises(InvalidSpec) as info:
+        QMode(Fraction(-1, 2)).q_power(-(2**19) - 1)
+    assert str(info.value) == "q^-524289 at q = -1/2 exceeds 1048576 bits"
+
+
+def test_qrat_has_no_constructor():
+    for args in ((), ((1,),), ((1,), ()), ((1, 1), (2,))):
+        with pytest.raises(TypeError, match="QRat has no constructor"):
+            QRat(*args)
+    # copies and pickles rebuild the stored parts without it
+    c = (Q + ONE) / (Q - ONE) * QRat.q_power(-3)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and hash(twin) == hash(c) and str(twin) == str(c)
+
+
+def test_sum_of_far_apart_powers_is_guarded():
+    # the sum pads the higher term's numerator down to the lower power of
+    # q; at most 65536 powers of q may be spanned
+    at_guard = QRat.q_power(65535) + ONE
+    assert at_guard.num == (1,) + (0,) * 65534 + (1,)
+    assert (QRat.q_power(-65535) - ONE).den == (0,) * 65535 + (1,)
+    past = (
+        (QRat.q_power(65536), ONE, 65537),
+        (ONE, QRat.q_power(65536), 65537),
+        (QRat.q_power(-65536), ONE, 65537),
+        ((Q + ONE) * QRat.q_power(65535), ONE, 65537),  # two coefficients on top
+        (QRat.q_power(-70000), -QRat.q_power(70000), 140001),
+    )
+    for a, b, span in past:
+        with pytest.raises(DegreeGuardExceeded) as info:
+            a + b
+        assert str(info.value) == f"sum spans {span} powers of q, past the guard 65536"
+
+
 def test_sign():
     assert Q.sign() == 1
     assert (-Q).sign() == -1
     assert ZERO.sign() == 0
-    assert QRat((1, -2)).sign() == -1  # leading coefficient is -2
+    assert qrat((1, -2)).sign() == -1  # leading coefficient is -2
 
 
 def _rand_qrat(rng, allow_zero=False):
@@ -120,7 +183,7 @@ def _rand_qrat(rng, allow_zero=False):
         den = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
         if not any(den):
             continue
-        c = QRat(num, den)
+        c = qrat(num, den)
         if allow_zero or not c.is_zero():
             return c
 
@@ -151,7 +214,7 @@ def test_canonical_equality_and_hash():
         scale = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
         if not any(scale):
             continue
-        b = QRat(pmul(a.num, scale), pmul(a.den, scale))
+        b = qrat(qpmul(a.num, scale), qpmul(a.den, scale))
         assert a == b
         assert hash(a) == hash(b)
 
@@ -218,24 +281,24 @@ def test_laurent_form_is_canonical():
             _assert_laurent_form(c)
     assert (ONE + Q) - ONE == Q
     assert format_qrat(Q + Q_INV) == "(q^2 + 1)/q"
-    assert QRat((0, -1, 1), (0, 0, 0, 1)) == QRat((-1, 1), (0, 0, 1))
+    assert qrat((0, -1, 1), (0, 0, 0, 1)) == qrat((-1, 1), (0, 0, 1))
     for k in range(-5, 6):
         assert QRat.q_power(k) * QRat.q_power(-k) == ONE
     assert Q.inv() == Q_INV
 
 
 def test_int_and_fraction_coefficients_mix():
-    a = QRat((Fraction(1, 2),))
-    b = QRat((1,), (2,))
+    a = qrat((Fraction(1, 2),))
+    b = qrat((1,), (2,))
     assert a == b
     assert hash(a) == hash(b)
-    assert (a + b) == QRat((1,))
+    assert (a + b) == qrat((1,))
 
 
 def test_specialize_string_rational():
     c = (Q * Q - ONE) / Q
     v = c.specialize(QMode.numeric(Fraction(1, 2)))
-    assert v == QRat((Fraction(-3, 2),))
+    assert v == qrat((Fraction(-3, 2),))
 
 
 # -- differential test against the monic-Euclid reference ----------------
@@ -274,7 +337,7 @@ _POINTS = (Fraction(2), Fraction(-1, 2), Fraction(1), Fraction(3))
 
 
 def _from_raw(raw):
-    return QRat(*raw), rat_canonical(*raw)
+    return qrat(*raw), rat_canonical(*raw)
 
 
 def _check_against_reference(x, ref):
@@ -282,7 +345,7 @@ def _check_against_reference(x, ref):
     # the view keeps integral coefficients as int
     assert all(type(c) is int or c.denominator > 1 for c in x.num + x.den)
     assert format_qrat(x) == render_rat(ref)
-    assert QRat(*ref) == x and hash(QRat(*ref)) == hash(x)
+    assert qrat(*ref) == x and hash(qrat(*ref)) == hash(x)
     for v in _POINTS:
         d = rat_eval(ref[1], v)
         if not d:
@@ -325,5 +388,5 @@ def test_qrat_matches_euclid_reference(start, steps, scale):
             x, ref = x.inv(), rat_inv(ref)
         _check_against_reference(x, ref)
     # a representative scaled by any nonzero polynomial is the same element
-    same = QRat(pmul(x.num, scale), pmul(x.den, scale))
+    same = qrat(qpmul(x.num, scale), qpmul(x.den, scale))
     assert same == x and hash(same) == hash(x)

@@ -105,7 +105,7 @@ def test_poly_mul_trivia(sys2):
 
 def test_scalar_mul():
     f = Polynomial.one(4) + Polynomial.from_mono(Monomial.gen(2, 4))
-    assert scalar_mul(QRat((2,)), f).lc() == QRat((2,))
+    assert scalar_mul(QRat.from_rational(2), f).lc() == QRat.from_rational(2)
     assert scalar_mul(ZERO, f).is_zero()
     assert scalar_mul(ONE, f) == f
 
@@ -316,7 +316,7 @@ def test_stray_table_key(sys2, key):
 def test_tampered_lambda_zero(sys2):
     table = dict(sys2.table)
     lam, f = table[(1, 0)]
-    table[(1, 0)] = (QRat((0,)), f)
+    table[(1, 0)] = (QRat.from_rational(0), f)
     # the one failing pair, and nothing after it
     match = re.escape("solvability: z[1,1]*z[1,2]: lambda = 0") + "$"
     with pytest.raises(InvalidSpec, match=match):
@@ -501,6 +501,6 @@ def test_dimension_mismatch(sys2):
 
 
 def test_constructor_rejects_bad_table():
-    table = {(1, 0): (QRat((0,)), Polynomial.zero(2))}
+    table = {(1, 0): (QRat.from_rational(0), Polynomial.zero(2))}
     with pytest.raises(InvalidSpec):
         CommutationSystem(2, table)

@@ -19,21 +19,20 @@ from quantmat.errors import (
     ParseError,
     QuantmatError,
 )
-from quantmat.fixtures import quantum_determinant
-from quantmat.mq import MqSpec, build_mq
+from quantmat.mq import MqSpec, build_mq, quantum_determinant
 from quantmat.pbw import Monomial, Polynomial, Term, gen_index
-from quantmat.qfield import ONE, Q, QMode, QRat
+from quantmat.qfield import ONE, Q, QMode, QRat, format_qrat
+from quantmat.straighten import quantum_plane
 from quantmat.textio import (
     IdealFile,
     format_mono,
     format_poly,
-    format_qrat,
     load_ideal,
     parse_poly,
     save_ideal,
 )
 
-from oracles import naive_poly_mul, rand_poly, view_format_qrat
+from oracles import naive_poly_mul, qrat, rand_poly, view_format_qrat
 
 SYS2_AT_2 = build_mq(MqSpec(2, QMode.numeric(2)))
 
@@ -100,6 +99,11 @@ def test_parse_rejects_bad_generators(sys2):
         parse_poly("z[1,3]", sys2)
     with pytest.raises(NegativeGeneratorPower):
         parse_poly("z[1,1]^-2", sys2)
+    with pytest.raises(ParseError) as info:
+        parse_poly("z[1,1]", quantum_plane())
+    assert str(info.value) == (
+        "z[i,j] generators need a square generator count (at position 0)"
+    )
 
 
 def test_parse_rejects_nonscalar_division(sys2):
@@ -122,9 +126,9 @@ def test_format_qrat_frozen():
     assert format_qrat(Q.inv()) == "1/q"
     assert format_qrat(-(Q * Q - ONE) / Q) == "-(q^2 - 1)/q"
     assert format_qrat(QRat.from_rational(Fraction(3, 2))) == "3/2"
-    assert format_qrat(QRat((0, 2))) == "2*q"
+    assert format_qrat(qrat((0, 2))) == "2*q"
     assert format_qrat((Q + ONE) / (Q * Q - ONE)) == "1/(q - 1)"
-    assert format_qrat(QRat((2, 2))) == "2*q + 2"
+    assert format_qrat(qrat((2, 2))) == "2*q + 2"
     assert str(-Q.inv()) == "-1/q"
 
 
@@ -142,7 +146,7 @@ _COEF = st.one_of(
 )
 def test_format_qrat_matches_view_renderer(num, den, k):
     # printing from the stored q^v*n/d gives the text of the padded view
-    c = QRat(num, den) * QRat.q_power(k)
+    c = qrat(num, den) * QRat.q_power(k)
     assert format_qrat(c) == view_format_qrat(c)
     assert format_qrat(-c) == view_format_qrat(-c)
 
@@ -384,14 +388,14 @@ def test_parse_equals_the_tree_value(sys2, mode, tree):
 
 
 # The fuzz alphabet: every token kind of the grammar, an unknown name and
-# character, generator and q-power fragments, short digit runs and a digit
-# run past the interpreter's conversion limit.
+# character, generator and q-power fragments, digit runs of 1-6 digits and
+# a digit run past the interpreter's conversion limit.
 _FUZZ_TOKENS = st.one_of(
     st.sampled_from(
         list("+-*/^()[], ")
         + ["q", "z", "w", "!", "q^", "z[1,1]", "z[1,2]", "z[2,1]", "z[2,2]", _LONG]
     ),
-    st.text("0123456789", min_size=1, max_size=3),
+    st.text("0123456789", min_size=1, max_size=6),
 )
 
 
