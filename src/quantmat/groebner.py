@@ -10,8 +10,13 @@ criterion when two treated pairs through a third element account for it,
 charges the pair budget only for S-polynomials formed, and ends with one
 forward sweep of interreduction.
 
-``left_spoly`` and ``left_divide`` share their cores with completion:
-``_spair`` sums the two scaled tails of an S-pair into one dict, without
+Every lift of a divisor goes through a lift table, ``_Lifts``: the
+algebra is solvable, so the lift of g to a monomial m is fixed by g and m,
+and its head is m.  A completion keeps one table for its S-pairs, its
+divisions, its interreduction and its final check of the inputs, so each
+lift is folded once while it stays in the table; ``left_spoly``,
+``left_divide`` and ``ideal_member`` run the same code on a fresh table.
+``_spair`` sums the two lifted tails of an S-pair into one dict, without
 the heads that cancel, and ``_reduce`` divides such a dict in place.
 Completion hands the S-pair's dict straight to ``_reduce``, so it builds
 no S-polynomial and no quotient; ``left_divide`` adds quotients, only for
@@ -34,7 +39,6 @@ from .pbw import (
     _paperlex_key,
     _support_mask,
     mono_lcm,
-    mono_sub,
     poly_from_dict,
 )
 from .qfield import QRat
@@ -91,12 +95,12 @@ def left_divide(
     The divisor for each step is the first element of G whose LM divides
     the current leading monomial; no remainder term is divisible by any
     LM(G[k]).  The identity reconstructs exactly under poly_mul.  The
-    steps are those of ``_reduce``; a divisor no step used gets the zero
-    quotient, one object shared by all of them.
+    steps are those of ``_reduce``, on a fresh lift table; a divisor no
+    step used gets the zero quotient, one object shared by all of them.
     """
     _check_divisors(G)
     quot: dict[int, list[Term]] = {}
-    rem = _reduce({m: c for c, m in f.terms}, G, sys, quot)
+    rem = _reduce({m: c for c, m in f.terms}, G, _Lifts(sys), quot)
     zero = Polynomial.zero(f.ngens)
     quotients = [zero] * len(G)
     for k, ts in quot.items():
@@ -105,21 +109,76 @@ def left_divide(
     return quotients, rem
 
 
+# A lift table holds at most this many terms, heads included; a lift that
+# would take it past the bound empties it first.
+_MAX_LIFT_TERMS = 1 << 16
+
+
+class _Lifts:
+    """Lifts of divisors to target monomials, each folded once.
+
+    In a solvable algebra (m - LM(g))*g leads with m times a nonzero
+    scalar, so the lift is fixed by the divisor g and the target m.  The
+    table maps (id(g), m) to (g, lc, tail): the lift's leading coefficient
+    and its terms below m divided by lc, an unsorted monomial-to-coefficient
+    dict that callers read and never change.  The entry holds g, so its id
+    is not reused while the entry lives, and no Polynomial is hashed.  A
+    miss folds the lift with the system's ``_fold`` under the degree guard
+    of ``mono_mul``.  ``terms`` counts the terms held; the table is emptied
+    when a new lift would take it past ``_MAX_LIFT_TERMS``, and a lift
+    larger than that is returned without being stored.
+    """
+
+    __slots__ = ("sys", "entries", "terms")
+
+    def __init__(self, sys: CommutationSystem):
+        self.sys = sys
+        self.entries: dict[tuple[int, Monomial], tuple] = {}
+        self.terms = 0
+
+    def lift(self, g: Polynomial, m: Monomial) -> tuple[QRat, dict]:
+        """(lc, tail) of the lift of g to m; LM(g) must divide m."""
+        key = (id(g), m)
+        entry = self.entries.get(key)
+        if entry is not None:
+            return entry[1], entry[2]
+        acc = {w: c for c, w in g.terms}
+        delta = Monomial([x - y for x, y in zip(m, g.lm())])
+        if any(delta):
+            self.sys.check_degree(sum(delta) + g.degree())
+            acc = self.sys._fold(delta, acc)
+        lc = acc.pop(m)
+        inv = None if lc.is_one() else lc.inv()
+        tail = {
+            w: c if inv is None else inv * c
+            for w, c in acc.items()
+            if not c.is_zero()
+        }
+        size = len(tail) + 1
+        if size <= _MAX_LIFT_TERMS:
+            if self.terms + size > _MAX_LIFT_TERMS:
+                self.entries.clear()
+                self.terms = 0
+            self.entries[key] = (g, lc, tail)
+            self.terms += size
+        return lc, tail
+
+
 def _reduce(
     acc: dict[Monomial, QRat],
     G: Sequence[Polynomial],
-    sys: CommutationSystem,
+    lifts: _Lifts,
     quot: Optional[dict[int, list[Term]]] = None,
 ) -> Polynomial:
     """The remainder of the polynomial acc holds on division by G.
 
     acc maps monomials to nonzero coefficients and becomes the running
     remainder, with a heap of its monomials, largest first.  A step pops
-    the leading monomial and subtracts the scaled tail of the lifted
-    divisor into the dict; nothing is re-sorted.  A monomial that cancels
-    to zero leaves its heap entry behind, and the pop skips it.  When quot
-    is given, each step appends its quotient term to quot[k] for the
-    divisor G[k] it used.
+    the leading monomial and subtracts the scaled tail of the divisor's
+    lift from ``lifts`` into the dict; nothing is re-sorted.  A monomial
+    that cancels to zero leaves its heap entry behind, and the pop skips
+    it.  When quot is given, each step appends its quotient term to
+    quot[k] for the divisor G[k] it used.
 
     Each divisor's LM support, a generator bitmask and its (index,
     exponent) pairs, is cached on the divisor, so repeated divisions by
@@ -128,6 +187,7 @@ def _reduce(
     monomial lacks, and compares exponents only for the rest.
     """
     supports = [g._lm_support() for g in G]
+    lift = lifts.lift
     rem_terms: list[Term] = []
     heap = [(_heap_key(m), m) for m in acc]
     heapq.heapify(heap)
@@ -141,12 +201,9 @@ def _reduce(
         for k, (mask, pairs) in enumerate(supports):
             if mask & absent or any(m[i] < e for i, e in pairs):
                 continue
-            delta = Monomial([x - y for x, y in zip(m, G[k].lm())])
-            h = _lift(G[k], delta, sys)
-            lc = h.lc()
-            coef = c if lc.is_one() else c / lc
-            neg = -coef
-            for ch, mh in h.terms[1:]:
+            lc, tail = lift(G[k], m)
+            neg = -c
+            for mh, ch in tail.items():
                 prev = acc.get(mh)
                 if prev is None:
                     acc[mh] = neg * ch
@@ -158,11 +215,18 @@ def _reduce(
                 else:
                     acc[mh] = s
             if quot is not None:
+                delta = Monomial([x - y for x, y in zip(m, G[k].lm())])
+                coef = c if lc.is_one() else c / lc
                 quot.setdefault(k, []).append(_new_tuple(Term, (coef, delta)))
             break
         else:
             rem_terms.append(_new_tuple(Term, (c, m)))
-    return Polynomial(tuple(rem_terms), sys.ngens)
+    return Polynomial(tuple(rem_terms), lifts.sys.ngens)
+
+
+def _remainder(f: Polynomial, G: Sequence[Polynomial], lifts: _Lifts) -> Polynomial:
+    """The remainder of f on division by G, lifting through ``lifts``."""
+    return _reduce({m: c for c, m in f.terms}, G, lifts)
 
 
 def _heap_key(m: Monomial) -> tuple[int, ...]:
@@ -176,40 +240,26 @@ def left_spoly(g1: Polynomial, g2: Polynomial, sys: CommutationSystem) -> Polyno
     """Lift both elements to the lcm of their LMs and cancel the heads."""
     if g1.is_zero() or g2.is_zero():
         raise InvalidSpec("S-polynomial of a zero polynomial")
-    return poly_from_dict(_spair(g1, g2, mono_lcm(g1.lm(), g2.lm()), sys), g1.ngens)
+    acc = _spair(g1, g2, mono_lcm(g1.lm(), g2.lm()), _Lifts(sys))
+    return poly_from_dict(acc, g1.ngens)
 
 
-def _spair(
-    g1: Polynomial, g2: Polynomial, gamma: Monomial, sys: CommutationSystem
-) -> dict:
+def _spair(g1: Polynomial, g2: Polynomial, gamma: Monomial, lifts: _Lifts) -> dict:
     """h1/lc(h1) - h2/lc(h2), h_k the lift of g_k to gamma, the lcm of the
     LMs, as a dict of its nonzero terms; the heads cancel and are never
     added."""
-    h1 = _lift(g1, mono_sub(gamma, g1.lm()), sys)
-    h2 = _lift(g2, mono_sub(gamma, g2.lm()), sys)
-    lc = h1.lc()
-    if lc.is_one():
-        acc = {m: c for c, m in h1.terms[1:]}
-    else:
-        inv = lc.inv()
-        acc = {m: inv * c for c, m in h1.terms[1:]}
-    neg = -h2.lc().inv()
-    for c, m in h2.terms[1:]:
-        c = neg * c
+    acc = dict(lifts.lift(g1, gamma)[1])
+    for m, c in lifts.lift(g2, gamma)[1].items():
         prev = acc.get(m)
         if prev is None:
-            acc[m] = c
+            acc[m] = -c
             continue
-        s = prev + c
+        s = prev - c
         if s.is_zero():
             del acc[m]
         else:
             acc[m] = s
     return acc
-
-
-def _lift(g: Polynomial, delta: Monomial, sys: CommutationSystem) -> Polynomial:
-    return g if delta.is_unit() else sys.mono_mul(delta, g)
 
 
 def buchberger(
@@ -234,6 +284,7 @@ def buchberger(
     # monic inputs, first occurrence kept; division scans the basis by
     # (LM ascending, insertion order)
     elems = list(dict.fromkeys(g.monic() for g in inputs))
+    lifts = _Lifts(sys)
     view = sorted((_paperlex_key(g.lm()), t) for t, g in enumerate(elems))
 
     # (lcm key, i, j, lcm): (i, j) is unique, so no Monomial is compared
@@ -261,16 +312,17 @@ def buchberger(
         pairs += 1
         if pairs > max_pairs:
             partial = GroebnerBasis(
-                tuple(_interreduce(elems, sys)), BasisStats(pairs - 1, drops, skips)
+                tuple(_interreduce(elems, sys, lifts)),
+                BasisStats(pairs - 1, drops, skips),
             )
             raise PairLimitExceeded(
                 f"pair budget {max_pairs} exhausted", partial=partial
             )
-        acc = _spair(elems[i], elems[j], lcm, sys)
+        acc = _spair(elems[i], elems[j], lcm, lifts)
         if not acc:
             drops += 1
             continue
-        s = _reduce(acc, [elems[t] for _, t in view], sys)
+        s = _reduce(acc, [elems[t] for _, t in view], lifts)
         if s.is_zero():
             drops += 1
             continue
@@ -279,11 +331,10 @@ def buchberger(
         add_pairs(len(elems) - 1)
 
     result = GroebnerBasis(
-        tuple(_interreduce(elems, sys)), BasisStats(pairs, drops, skips)
+        tuple(_interreduce(elems, sys, lifts)), BasisStats(pairs, drops, skips)
     )
     for g in inputs:
-        _, r = left_divide(g, result.elements, sys)
-        if not r.is_zero():
+        if not _remainder(g, result.elements, lifts).is_zero():
             raise AssertionError("completed basis must reduce every input to zero")
     return result
 
@@ -327,7 +378,9 @@ def _chain_redundant(
 
 
 def _interreduce(
-    elems: Sequence[Polynomial], sys: CommutationSystem
+    elems: Sequence[Polynomial],
+    sys: CommutationSystem,
+    lifts: Optional[_Lifts] = None,
 ) -> list[Polynomial]:
     """Mutual full reduction: monic, sorted by ascending LM, no term
     divisible by another element's LM, generating the same ideal.
@@ -342,12 +395,19 @@ def _interreduce(
     depends on the order of the changes, comes out the same.  On a
     Groebner basis no LM drops, each element is divided once, and the
     result is the unique reduced basis.
+
+    Completion passes its lift table, so the sweep reuses the lifts its
+    pairs made; without one, each division is a ``left_divide``.
     """
     items = sorted((p.monic() for p in elems), key=lambda p: _paperlex_key(p.lm()))
     t = 0
     while t < len(items) and len(items) > 1:
         p = items[t]
-        _, r = left_divide(p, items[:t] + items[t + 1 :], sys)
+        others = items[:t] + items[t + 1 :]
+        if lifts is None:
+            _, r = left_divide(p, others, sys)
+        else:
+            r = _remainder(p, others, lifts)
         if r.is_zero():
             del items[t]
             continue

@@ -20,11 +20,12 @@ Laurent monomials c*q^k: their n and d are constants, and their products
 and same-power sums take integer arithmetic only.  A product adds the
 powers and cancels n and d crosswise before it multiplies (Henrici 1956),
 so it never takes the gcd of the full product; a sum shifts the higher
-term's numerator down to the lower power, and refuses with
-`DegreeGuardExceeded` when that shift would span more than
-``_MAX_QSPAN`` powers of q.  Results are reduced with `pgcd`, the gcd in
-Z[q] by the primitive polynomial remainder sequence (Collins 1967; Brown
-1971), or with the integer gcd when one side is a constant.
+term's numerator down to the lower power.  A sum whose shift, or a
+product whose numerator or denominator, would span more than
+``_MAX_QSPAN`` powers of q is refused with `DegreeGuardExceeded`.
+Results are reduced with `pgcd`, the gcd in Z[q] by the primitive
+polynomial remainder sequence (Collins 1967; Brown 1971), or with the
+integer gcd when one side is a constant.
 
 `QRat.num` and `QRat.den` are a read-only view of the same value over the
 rationals: coefficients are int where integral and Fraction otherwise
@@ -216,7 +217,8 @@ _MAX_QPOWER_BITS = 1 << 20
 # no exponent overflows an index.
 _MAX_SYMBOLIC_QPOWER = 1 << 31
 # A sum of terms whose powers of q lie far apart pads the higher term's
-# numerator down to the lower power; it may span at most this many powers.
+# numerator down to the lower power; it, and the numerator or denominator
+# of a product, may span at most this many powers.
 _MAX_QSPAN = 1 << 16
 
 
@@ -409,6 +411,11 @@ class QRat:
             a, d = _cancel(a, d)
         if b != P_ONE:
             c, b = _cancel(c, b)
+        span = max(len(a) + len(c), len(b) + len(d)) - 1
+        if span > _MAX_QSPAN:
+            raise DegreeGuardExceeded(
+                f"product spans {span} powers of q, past the guard {_MAX_QSPAN}"
+            )
         return _make(pmul(a, c), pmul(b, d), v)
 
     def __truediv__(self, other: "QRat") -> "QRat":

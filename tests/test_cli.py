@@ -444,6 +444,29 @@ def test_far_apart_q_powers_exit_3_at_once(capsys, expr, span):
     assert err == f"error: sum spans {span} powers of q, past the guard 65536\n"
 
 
+@pytest.mark.parametrize(
+    "expr, span",
+    [
+        ("(q^32768+1)*(q^32768+1)", 65537),
+        ("z[1,1]/(q^32768+1)/(q^32768+1)", 65537),
+        ("(q^65000+1)*(q^65000+1)", 130001),
+    ],
+)
+def test_long_q_products_exit_3(capsys, expr, span):
+    # the product of two numerators is stored dense, about 32 bytes per
+    # power of q; without the guard 80 factors of (q^65000+1) took 24 s
+    code, out, err = run(capsys, "nf", "--n", "2", expr)
+    assert (code, out) == (3, "")
+    assert err == f"error: product spans {span} powers of q, past the guard 65536\n"
+
+
+def test_q_product_at_the_guard_and_far_powers_parse(capsys):
+    code, out, err = run(capsys, "nf", "--n", "2", "(q^32767+1)*(q^32768+1)")
+    assert (code, out, err) == (0, "(q^65535 + q^32768 + q^32767 + 1)\n", "")
+    code, out, err = run(capsys, "nf", "--n", "2", "q^1000000000*z[1,1]")
+    assert (code, out, err) == (0, "q^1000000000*z[1,1]\n", "")
+
+
 def test_negative_pair_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gb", *DIAG, "--max-pairs", "-1")
     assert (code, out, err) == (2, "", "error: pair budget must be >= 0, got -1\n")

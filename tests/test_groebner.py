@@ -1,5 +1,6 @@
 """Left division, S-polynomials, completion, and ideal membership."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from quantmat.groebner import (
     left_divide,
     left_spoly,
 )
-from quantmat.pbw import Monomial, Polynomial, Term
+from quantmat.pbw import Monomial, Polynomial, Term, mono_lcm, mono_sum, poly_from_dict
 from quantmat.qfield import ONE, Q, QMode, QRat
 from quantmat.straighten import quantum_plane, scalar_mul, weyl_algebra
 
@@ -29,8 +30,10 @@ from oracles import (
     fixpoint_interreduce,
     is_left_groebner,
     membership_oracle,
+    naive_poly_mul,
     poly_canonicalize,
     quantum_minors,
+    rand_monomial,
     rand_poly,
     rebuild_left_divide,
     specialize_terms,
@@ -412,9 +415,9 @@ def test_interreduce_divides_each_element_once(sys3, monkeypatch):
     gens.append(parse_poly("z[1,1] + z[2,2] + z[3,3] - 2", sys3))
     handed = []
 
-    def capture(elems, sys):
+    def capture(elems, sys, lifts):
         handed.append(list(elems))
-        return _interreduce(elems, sys)
+        return _interreduce(elems, sys, lifts)
 
     monkeypatch.setattr(gb, "_interreduce", capture)
     G = buchberger(gens, sys3)
@@ -422,13 +425,14 @@ def test_interreduce_divides_each_element_once(sys3, monkeypatch):
     assert len(elems) == 14 and len(G) == 10
 
     divided = []
+    remainder = gb._remainder
 
-    def divide(f, G, sys):
+    def divide(f, G, lifts):
         divided.append(f)
-        return left_divide(f, G, sys)
+        return remainder(f, G, lifts)
 
-    monkeypatch.setattr(gb, "left_divide", divide)
-    assert tuple(_interreduce(elems, sys3)) == G.elements
+    monkeypatch.setattr(gb, "_remainder", divide)
+    assert tuple(_interreduce(elems, sys3, gb._Lifts(sys3))) == G.elements
     assert len(divided) == len(elems) and set(divided) == set(elems)
 
 
@@ -613,3 +617,86 @@ def test_reused_system_matches_fresh_systems():
     reused = [_rendered_basis(g, shared[n], b) for n, g, b in jobs]
     assert reused == fresh
     assert sum(text.startswith("partial") for text in fresh) == 6
+
+
+# -- the lift table ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(_INTERREDUCE_SYSTEMS))
+def test_lifted_tails_match_naive_products(name):
+    # an entry (g, lc, tail) at (id(g), m), scaled back by lc, is the naive
+    # product (m - LM g)*g without its head lc*m; entries come from direct
+    # lifts, S-pairs and divisions sharing one table
+    sys = _INTERREDUCE_SYSTEMS[name]()
+    ngens = sys.ngens
+
+    @settings(deadline=None, max_examples=40)
+    @given(rng=st.randoms(use_true_random=False), size=st.integers(1, 3))
+    def check(rng, size):
+        G = [rand_poly(rng, ngens, max_degree=2) for _ in range(size)]
+        if sys.qmode.value is not None:
+            G = [specialize_terms(p, Fraction(2), ngens) for p in G]
+            assume(not any(p.is_zero() for p in G))
+        lifts = gb._Lifts(sys)
+        for g in G:
+            lifts.lift(g, mono_sum(g.lm(), rand_monomial(rng, ngens, 2)))
+        gb._spair(G[0], G[-1], mono_lcm(G[0].lm(), G[-1].lm()), lifts)
+        f = rand_poly(rng, ngens, max_degree=3)
+        if sys.qmode.value is not None:
+            f = specialize_terms(f, Fraction(2), ngens)
+        gb._remainder(f, G, lifts)
+        assert lifts.entries
+        for (gid, m), (g, lc, tail) in lifts.entries.items():
+            assert gid == id(g)
+            delta = Monomial([x - y for x, y in zip(m, g.lm())])
+            product = naive_poly_mul(sys, Polynomial.from_mono(delta), g)
+            assert (product.lm(), product.lc()) == (m, lc)
+            assert all(not c.is_zero() for c in tail.values())
+            scaled = poly_from_dict({w: lc * c for w, c in tail.items()}, ngens)
+            assert scaled == Polynomial(product.terms[1:], ngens)
+
+    check()
+
+
+def _wrand3_generators() -> tuple[str, ...]:
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    sys.path.insert(0, str(tools))
+    try:
+        from wrand3 import GENERATORS
+    finally:
+        sys.path.remove(str(tools))
+    return GENERATORS
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_lift_table_bound_keeps_outputs(monkeypatch):
+    # a table capped at a few terms is emptied over and over and stores no
+    # larger lift, yet each basis renders as it did before the table
+    trace_gens, trace_budget = _gb_sym_seed_1()[3]  # the structured `trace`
+    wrand3 = list(_wrand3_generators())
+    cap = 6
+    monkeypatch.setattr(gb, "_MAX_LIFT_TERMS", cap)
+    seen = {"lifts": 0, "clears": 0, "unstored": 0}
+    lift = gb._Lifts.lift
+
+    def checked(self, g, m):
+        before = self.terms
+        lc, tail = lift(self, g, m)
+        held = sum(len(t) + 1 for _, _, t in self.entries.values())
+        assert self.terms == held <= cap
+        seen["lifts"] += 1
+        seen["clears"] += self.terms < before
+        seen["unstored"] += len(tail) + 1 > cap
+        return lc, tail
+
+    monkeypatch.setattr(gb._Lifts, "lift", checked)
+    text = _rendered_basis(trace_gens, build_mq(MqSpec(3)), trace_budget)
+    assert _digest(text) == "dca8c3575e3d9fc7"
+    text = _rendered_basis(wrand3, build_mq(MqSpec(3, QMode.numeric(2))), 8)
+    assert text.startswith("partial\n")
+    # the test_wrand3_probe digest at q = 2
+    assert _digest(text[len("partial\n") :]) == "9384d0f5b7e53b12"
+    assert seen["clears"] > 0 and seen["unstored"] > 0 and seen["lifts"] > 100

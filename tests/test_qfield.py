@@ -170,6 +170,27 @@ def test_sum_of_far_apart_powers_is_guarded():
         assert str(info.value) == f"sum spans {span} powers of q, past the guard 65536"
 
 
+def test_product_of_far_apart_powers_is_guarded():
+    # a symbolic product's numerator and denominator are stored dense; each
+    # may span at most 65536 powers of q
+    a, b = QRat.q_power(32767) + ONE, QRat.q_power(32768) + ONE
+    at_guard = a * b
+    assert at_guard.num == (1,) + (0,) * 32766 + (1, 1) + (0,) * 32766 + (1,)
+    assert (ONE / a / b).den == at_guard.num
+    past = (
+        (b, b, 65537),
+        (ONE / b, ONE / b, 65537),
+        (b, b / (Q + ONE), 65537),  # a denominator on one side
+        (QRat.q_power(65000) + ONE, QRat.q_power(65000) + ONE, 130001),
+    )
+    for x, y, span in past:
+        with pytest.raises(DegreeGuardExceeded) as info:
+            x * y
+        assert str(info.value) == f"product spans {span} powers of q, past the guard 65536"
+    # a factor +-q^k only moves the power, however far
+    assert QRat.q_power(10**9) * b * QRat.q_power(-(10**9)) == b
+
+
 def test_sign():
     assert Q.sign() == 1
     assert (-Q).sign() == -1

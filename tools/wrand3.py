@@ -10,8 +10,9 @@ Its completion has never finished; a run stops after --max-pairs
 S-polynomials and reports the interreduced partial basis.  The script
 prints the element count, the completion statistics, whether the basis is
 partial, the largest term count, the leading 16 hex digits of the SHA-256
-of the rendered basis (one element per line, as `mq gb` prints it) and the
-wall-clock seconds of the completion.  The hash shows whether a change to
+of the rendered basis (one element per line, as `mq gb` prints it), the
+wall-clock seconds of the completion and the peak resident set size of
+the process in MB.  The hash shows whether a change to
 the engine moved the basis.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -65,7 +67,8 @@ def main(argv=None) -> int:
     print(f"partial {'yes' if partial else 'no'}")
     print(f"max_terms {max(len(g.terms) for g in basis.elements)}")
     print(f"sha256 {hashlib.sha256(text.encode()).hexdigest()[:16]}")
-    print(f"seconds {seconds:.2f}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"seconds {seconds:.2f} peak_rss_mb {peak_mb:.1f}")
     return 0
 
 
