@@ -30,7 +30,6 @@ from .pbw import (
     compare_monomials,
     gen_index,
     mono_lcm,
-    mono_sub,
     mono_sum,
 )
 from .straighten import (
@@ -54,6 +53,7 @@ from .dimension import (
     eliminate_prefix,
     gk_dimension,
     hilbert_count,
+    hilbert_counts,
     leading_staircase,
     make_staircase,
 )
@@ -63,7 +63,6 @@ from .textio import (
     format_poly,
     load_ideal,
     parse_poly,
-    save_ideal,
 )
 
 __version__ = "0.1.0"
@@ -108,6 +107,7 @@ __all__ = [
     "gen_index",
     "gk_dimension",
     "hilbert_count",
+    "hilbert_counts",
     "ideal_member",
     "leading_staircase",
     "left_divide",
@@ -115,12 +115,10 @@ __all__ = [
     "load_ideal",
     "make_staircase",
     "mono_lcm",
-    "mono_sub",
     "mono_sum",
     "parse_poly",
     "quantum_determinant",
     "quantum_plane",
-    "save_ideal",
     "scalar_mul",
     "validate_solvability",
     "weyl_algebra",

@@ -20,7 +20,7 @@ from .dimension import (
     Staircase,
     eliminate_prefix,
     gk_dimension,
-    hilbert_count,
+    hilbert_counts,
     leading_staircase,
 )
 from .errors import (
@@ -242,7 +242,7 @@ def _cmd_hilbert(args) -> int:
         staircase = leading_staircase(basis)
     else:
         staircase = Staircase(system.ngens, ())
-    counts = [hilbert_count(staircase, d) for d in range(args.maxdeg + 1)]
+    counts = hilbert_counts(staircase, args.maxdeg)
     _emit(
         args,
         [", ".join(str(c) for c in counts)],

@@ -4,22 +4,24 @@ The leading exponents of a left Groebner basis generate a monomial ideal;
 its complement (the standard monomials) is a linear basis of the cyclic
 quotient.  Counting that complement degree by degree gives the Hilbert
 function, and the growth degree of the count is the Gelfand-Kirillov
-dimension of the quotient.  Hilbert counts come from the numerator N(t) of
-the Hilbert series HS(t) = N(t)/(1-t)^n, found by Bigatti's pivot recursion
-(A. M. Bigatti, J. Pure Appl. Algebra 119, 1997), so their cost depends on
-the staircase and not on the degree.  Because the shipped ordering
-eliminates every prefix of the generator list, intersecting the basis with
-a prefix subalgebra is a support filter.
+dimension of the quotient.  Both come from the numerator N(t) of the
+Hilbert series HS(t) = N(t)/(1-t)^n, found by Bigatti's pivot recursion
+(A. M. Bigatti, J. Pure Appl. Algebra 119, 1997): the counts are its
+coefficients, so their cost depends on the staircase and not on the
+degree, and the GK dimension is the order of its pole at t = 1.  Because
+the shipped ordering eliminates every prefix of the generator list,
+intersecting the basis with a prefix subalgebra is a support filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import EmptyBasis, InvalidPrefix
 from .groebner import GroebnerBasis
-from .pbw import Polynomial, _paperlex_key
+from .pbw import Polynomial, _paperlex_key, _support_mask
 
 
 def _divides(w, v) -> bool:
@@ -28,11 +30,13 @@ def _divides(w, v) -> bool:
 
 def _minimal(vectors) -> list[tuple[int, ...]]:
     """Divisibility-minimal members of a set of exponent vectors."""
-    kept: list[tuple[int, ...]] = []
+    # (support mask, vector): a mask with a bit v's lacks cannot divide v
+    kept: list[tuple[int, tuple[int, ...]]] = []
     for v in sorted(set(vectors), key=sum):
-        if not any(_divides(w, v) for w in kept):
-            kept.append(v)
-    return kept
+        absent = ~_support_mask(v)
+        if not any(not mask & absent and _divides(w, v) for mask, w in kept):
+            kept.append((~absent, v))
+    return [v for _, v in kept]
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,8 @@ def _numerator(mins) -> list[int]:
     dim = len(mins[0])
     if any(not any(m) for m in mins):
         return [0]  # the unit ideal: nothing is standard
-    shared = [0] * dim
-    for m in mins:
-        for i, a in enumerate(m):
-            if a:
-                shared[i] += 1
-    i = max(range(dim), key=shared.__getitem__)
+    shared = [len(col) - col.count(0) for col in zip(*mins)]
+    i = shared.index(max(shared))
     if shared[i] < 2:
         out = [1]
         for m in mins:
@@ -122,44 +122,38 @@ def hilbert_count(st: Staircase, d: int) -> int:
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
+    return _coefficient(_numerator(st.mins), st.dim, d)
+
+
+def hilbert_counts(st: Staircase, maxdeg: int) -> list[int]:
+    """hilbert_count(st, d) for d = 0..maxdeg, from one numerator."""
     num = _numerator(st.mins)
-    if st.dim == 0:
+    return [_coefficient(num, st.dim, d) for d in range(maxdeg + 1)]
+
+
+def _coefficient(num: list[int], dim: int, d: int) -> int:
+    if dim == 0:
         # no variables: HS(t) = N(t)
         return num[d] if d < len(num) else 0
-    r = st.dim - 1
+    r = dim - 1
     return sum(c * comb(d - k + r, r) for k, c in enumerate(num[: d + 1]))
 
 
 def gk_dimension(st: Staircase) -> int:
-    """Largest coordinate set containing the support of no staircase minimum.
+    """Order of the pole of HS(t) at t = 1: the growth degree of hilbert_count.
 
-    Equals dim minus a minimum hitting set of the supports, found by
-    branch and bound; also the growth degree of hilbert_count.
+    dim minus the multiplicity of t = 1 as a root of the numerator N(t);
+    each exact division by 1 - t turns the coefficients into their running
+    sums.  The unit ideal, N(t) = 0, has GK dimension 0.
     """
-    if not st.mins:
-        return st.dim  # zero ideal: full polynomial growth
-    supports = [tuple(g for g, e in enumerate(m) if e) for m in st.mins]
-    if any(not s for s in supports):
-        # the unit monomial is in the ideal: the quotient vanishes
+    num = _numerator(st.mins)
+    if not any(num):
         return 0
-    supports.sort(key=len)
-    best = st.dim
-
-    def search(chosen: set) -> None:
-        nonlocal best
-        if len(chosen) >= best:
-            return
-        for sup in supports:
-            if not chosen.intersection(sup):
-                for g in sup:
-                    chosen.add(g)
-                    search(chosen)
-                    chosen.remove(g)
-                return
-        best = len(chosen)
-
-    search(set())
-    return st.dim - best
+    pole = st.dim
+    while sum(num) == 0:  # N(1) = 0: divide by 1 - t
+        num = list(accumulate(num))[:-1]
+        pole -= 1
+    return pole
 
 
 def eliminate_prefix(G: GroebnerBasis, s: int) -> tuple[Polynomial, ...]:

@@ -19,8 +19,10 @@ lift is folded once while it stays in the table; ``left_spoly``,
 ``_spair`` sums the two lifted tails of an S-pair into one dict, without
 the heads that cancel, and ``_reduce`` divides such a dict in place.
 Completion hands the S-pair's dict straight to ``_reduce``, so it builds
-no S-polynomial and no quotient; ``left_divide`` adds quotients, only for
-the divisors a step used.
+no S-polynomial and no quotient; ``left_divide``, the one caller that
+asks for quotients, adds them only for the divisors a step used.  Every
+other division, in completion, interreduction and ``ideal_member``, is a
+``_remainder``.
 """
 
 from __future__ import annotations
@@ -312,7 +314,7 @@ def buchberger(
         pairs += 1
         if pairs > max_pairs:
             partial = GroebnerBasis(
-                tuple(_interreduce(elems, sys, lifts)),
+                tuple(_interreduce(elems, lifts)),
                 BasisStats(pairs - 1, drops, skips),
             )
             raise PairLimitExceeded(
@@ -331,7 +333,7 @@ def buchberger(
         add_pairs(len(elems) - 1)
 
     result = GroebnerBasis(
-        tuple(_interreduce(elems, sys, lifts)), BasisStats(pairs, drops, skips)
+        tuple(_interreduce(elems, lifts)), BasisStats(pairs, drops, skips)
     )
     for g in inputs:
         if not _remainder(g, result.elements, lifts).is_zero():
@@ -377,11 +379,7 @@ def _chain_redundant(
     return False
 
 
-def _interreduce(
-    elems: Sequence[Polynomial],
-    sys: CommutationSystem,
-    lifts: Optional[_Lifts] = None,
-) -> list[Polynomial]:
+def _interreduce(elems: Sequence[Polynomial], lifts: _Lifts) -> list[Polynomial]:
     """Mutual full reduction: monic, sorted by ascending LM, no term
     divisible by another element's LM, generating the same ideal.
 
@@ -394,20 +392,15 @@ def _interreduce(
     that change nothing, so even a budgeted partial basis, whose form
     depends on the order of the changes, comes out the same.  On a
     Groebner basis no LM drops, each element is divided once, and the
-    result is the unique reduced basis.
-
-    Completion passes its lift table, so the sweep reuses the lifts its
-    pairs made; without one, each division is a ``left_divide``.
+    result is the unique reduced basis.  Completion passes its lift table,
+    so the sweep reuses the lifts its pairs made.
     """
     items = sorted((p.monic() for p in elems), key=lambda p: _paperlex_key(p.lm()))
     t = 0
     while t < len(items) and len(items) > 1:
         p = items[t]
         others = items[:t] + items[t + 1 :]
-        if lifts is None:
-            _, r = left_divide(p, others, sys)
-        else:
-            r = _remainder(p, others, lifts)
+        r = _remainder(p, others, lifts)
         if r.is_zero():
             del items[t]
             continue
@@ -424,5 +417,5 @@ def ideal_member(f: Polynomial, G: GroebnerBasis, sys: CommutationSystem) -> boo
     """True iff f left-reduces to zero by the completed basis."""
     if f.is_zero():
         return True
-    _, r = left_divide(f, G.elements, sys)
-    return r.is_zero()
+    _check_divisors(G.elements)
+    return _remainder(f, G.elements, _Lifts(sys)).is_zero()

@@ -129,12 +129,6 @@ def mono_sum(a: Monomial, b: Monomial) -> Monomial:
     return Monomial([x + y for x, y in zip(a, b)])
 
 
-def mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    """Exponentwise difference a - b; requires b | a."""
-    _check_same_ngens(a, b)
-    return Monomial([x - y for x, y in zip(a, b)])
-
-
 class Term(NamedTuple):
     """One term of a polynomial.  Hot code builds it as
     ``_new_tuple(Term, (coeff, mono))``, skipping the Python-level

@@ -217,8 +217,8 @@ _MAX_QPOWER_BITS = 1 << 20
 # no exponent overflows an index.
 _MAX_SYMBOLIC_QPOWER = 1 << 31
 # A sum of terms whose powers of q lie far apart pads the higher term's
-# numerator down to the lower power; it, and the numerator or denominator
-# of a product, may span at most this many powers.
+# numerator down to the lower power; it, the numerator or denominator of a
+# product, and those of a sum of fractions may span at most this many powers.
 _MAX_QSPAN = 1 << 16
 
 
@@ -371,15 +371,18 @@ class QRat:
             # Henrici: with g = gcd(b, d), the sum is n / (b * d/g) for
             # n = a * d/g + c * b/g, and only g can share a factor with n
             g = _gcd(b, d)
-            if g == P_ONE:
-                n, d = padd(pmul(a, d), pmul(c, b)), pmul(b, d)
-            else:
-                bg, dg = _exact_quo(b, g), _exact_quo(d, g)
-                n = padd(pmul(a, dg), pmul(c, bg))
+            bg, dg = (b, d) if g == P_ONE else (_exact_quo(b, g), _exact_quo(d, g))
+            span = max(len(a) + len(dg), len(c) + len(bg), len(b) + len(dg)) - 1
+            if span > _MAX_QSPAN:
+                raise DegreeGuardExceeded(
+                    f"sum spans {span} powers of q, past the guard {_MAX_QSPAN}"
+                )
+            n = padd(pmul(a, dg), pmul(c, bg))
+            if g != P_ONE:
                 h = _gcd(n, g)
                 if h != P_ONE:
                     n, b = _exact_quo(n, h), _exact_quo(b, h)
-                d = pmul(b, dg)
+            d = pmul(b, dg)
         if not n[0]:
             # equal powers of q whose constant terms cancelled
             n, k = _split(n)

@@ -222,7 +222,7 @@ def parse_poly(text: str, sys: CommutationSystem) -> Polynomial:
 
 @dataclass
 class IdealFile:
-    """JSON-serializable ideal description; q is 'symbolic' or a rational."""
+    """Ideal read from a JSON file; q is 'symbolic' or a rational."""
 
     n: int
     q: str = "symbolic"
@@ -236,16 +236,6 @@ class IdealFile:
         for key in ("max_pairs", "max_degree"):
             if key in self.limits:
                 _check_integer(f"limits.{key}", self.limits[key])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "n": self.n,
-            "q": self.q,
-            "generators": list(self.generators),
-            "ordering": "paperlex",
-            "limits": dict(self.limits),
-        }
 
     @staticmethod
     def from_json_dict(data: dict) -> "IdealFile":
@@ -287,9 +277,3 @@ def load_ideal(path) -> IdealFile:
         except RecursionError:
             raise InvalidSpec("ideal file JSON nests too deeply") from None
     return IdealFile.from_json_dict(data)
-
-
-def save_ideal(ideal: IdealFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ideal.to_json_dict(), fh, indent=2)
-        fh.write("\n")

@@ -3,7 +3,8 @@
 Everything here deliberately uses a different strategy from the package:
 word-by-word rewriting instead of memoized generator folds, dense Fraction
 linear algebra at rational q values instead of symbolic division, finite
-differences of the Hilbert function instead of subset search,
+differences of the Hilbert function and a hitting-set search over the
+staircase supports instead of the pole order of the Hilbert series,
 enumeration of standard monomials instead of the Hilbert-series numerator,
 every S-pair of a basis instead of completion's pair criteria, an
 S-polynomial as the difference of two whole scaled lifts instead of one
@@ -16,6 +17,7 @@ integer polynomials reduced by a gcd in Z[q].
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -37,7 +39,6 @@ from quantmat.pbw import (
     LESS,
     Term,
     mono_lcm,
-    mono_sub,
     poly_from_dict,
 )
 from quantmat.qfield import ONE, ZERO
@@ -349,6 +350,11 @@ def rebuild_left_divide(f: Polynomial, G, sys):
 # -- S-polynomials: whole scaled lifts subtracted --------------------------
 
 
+def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
+    """The monomial u with u * b = a in the commutative sense; b must divide a."""
+    return Monomial([x - y for x, y in zip(a, b)])
+
+
 def spoly_reference(g1: Polynomial, g2: Polynomial, sys) -> Polynomial:
     """Reference left S-polynomial: lift both elements to the lcm of their
     LMs with the engine's mono_mul, scale each lift to a monic head, and
@@ -356,7 +362,7 @@ def spoly_reference(g1: Polynomial, g2: Polynomial, sys) -> Polynomial:
     the difference of the tails in one accumulator instead."""
     gamma = mono_lcm(g1.lm(), g2.lm())
     h1, h2 = (
-        g if (u := mono_sub(gamma, g.lm())).is_unit() else sys.mono_mul(u, g)
+        g if (u := mono_quotient(gamma, g.lm())).is_unit() else sys.mono_mul(u, g)
         for g in (g1, g2)
     )
     return scalar_mul(h1.lc().inv(), h1) - scalar_mul(h2.lc().inv(), h2)
@@ -606,6 +612,37 @@ def growth_degree(counts) -> int:
     raise ValueError("sequence did not stabilize; extend the degree range")
 
 
+def hitting_set_gk(mins, dim) -> int:
+    """GK dimension of the monomial quotient by a staircase, combinatorially.
+
+    The largest coordinate set containing the support of no minimum: dim
+    minus a minimum hitting set of the supports, found by branch and
+    bound.  The zero ideal (no minima) has dim, the unit ideal 0.
+    """
+    if not mins:
+        return dim
+    supports = sorted((tuple(g for g, e in enumerate(m) if e) for m in mins), key=len)
+    if not supports[0]:
+        return 0  # the unit monomial is in the ideal: the quotient vanishes
+    best = dim
+
+    def search(chosen: set) -> None:
+        nonlocal best
+        if len(chosen) >= best:
+            return
+        for sup in supports:
+            if not chosen.intersection(sup):
+                for g in sup:
+                    chosen.add(g)
+                    search(chosen)
+                    chosen.remove(g)
+                return
+        best = len(chosen)
+
+    search(set())
+    return dim - best
+
+
 def binomial_count(ngens, d) -> int:
     return comb(d + ngens - 1, ngens - 1)
 
@@ -639,3 +676,25 @@ def quantum_minors(n) -> list[str]:
         for a, b in pairs
         for c, d in pairs
     ]
+
+
+# -- ideal files ------------------------------------------------------------
+
+
+def ideal_json(ideal) -> dict:
+    """The JSON object of an ideal file, in the schema load_ideal reads."""
+    return {
+        "schema": 1,
+        "n": ideal.n,
+        "q": ideal.q,
+        "generators": list(ideal.generators),
+        "ordering": "paperlex",
+        "limits": dict(ideal.limits),
+    }
+
+
+def write_ideal(ideal, path) -> None:
+    """Write an IdealFile as an indented JSON file, for `mq --file`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(ideal_json(ideal), fh, indent=2)
+        fh.write("\n")

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantmat import dimension
 from quantmat.cli import run_command
-from quantmat.textio import IdealFile, save_ideal
+from quantmat.textio import IdealFile
 
-from oracles import quantum_minors
+from oracles import quantum_minors, write_ideal
 from test_textio import _FUZZ_TOKENS, _TREES, _render
 
 DIAG = ["--n", "2", "--ideal", "z[1,1]", "--ideal", "z[2,2]"]
@@ -86,6 +87,27 @@ def test_hilbert(capsys):
     assert run(capsys, "hilbert", "--n", "2", "--maxdeg", "-1") == (
         2, "", "error: --maxdeg must be >= 0, got -1\n"
     )
+
+
+def test_hilbert_computes_the_numerator_once(capsys, monkeypatch):
+    # the pivot recursion calls back through the module name, so only
+    # calls made outside it count as runs
+    numerator, depth, runs = dimension._numerator, [0], []
+
+    def counted(mins):
+        runs.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return numerator(mins)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dimension, "_numerator", counted)
+    ideal = [arg for m in quantum_minors(3) for arg in ("--ideal", m)]
+    code, out, _ = run(capsys, "hilbert", "--n", "3", "--maxdeg", "6", *ideal)
+    expected = ", ".join(str(comb(d + 2, 2) ** 2) for d in range(7)) + "\n"
+    assert (code, out) == (0, expected)
+    assert runs.count(True) == 1 and len(runs) > 1
 
 
 def test_hilbert_high_degree_minors(module_cli):
@@ -299,14 +321,14 @@ def test_unknown_command_exits_2(capsys):
 
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "diag.json"
-    save_ideal(IdealFile(n=2, generators=["z[1,1]", "z[2,2]"]), path)
+    write_ideal(IdealFile(n=2, generators=["z[1,1]", "z[2,2]"]), path)
     code, out, _ = run(capsys, "gb", "--file", str(path))
     assert (code, out) == (0, "z[1,1]\nz[2,1]*z[1,2]\nz[2,2]\n")
 
 
 def test_file_flag_conflict(tmp_path, capsys):
     path = tmp_path / "diag.json"
-    save_ideal(IdealFile(n=2, generators=["z[1,1]"]), path)
+    write_ideal(IdealFile(n=2, generators=["z[1,1]"]), path)
     code, _, err = run(capsys, "gb", "--file", str(path), "--n", "3")
     assert code == 2
     assert "conflicts" in err
@@ -318,7 +340,7 @@ def test_file_flag_conflict(tmp_path, capsys):
 def test_flag_q_and_file_q_compare_as_values(tmp_path, capsys):
     # --q 2/1 names the file's q = 2; the output keeps the file's spelling
     path = tmp_path / "q2.json"
-    save_ideal(IdealFile(n=2, generators=["z[1,1]"], q="2"), path)
+    write_ideal(IdealFile(n=2, generators=["z[1,1]"], q="2"), path)
     for flags in ([], ["--json"]):
         expected = run(capsys, "gb", "--file", str(path), "--q", "2", *flags)
         assert expected[0] == 0
@@ -342,7 +364,7 @@ def test_degree_limit_env(capsys, monkeypatch):
 def test_degree_limit_from_file_overrides_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MQ_MAX_DEGREE", "64")
     path = tmp_path / "tight.json"
-    save_ideal(
+    write_ideal(
         IdealFile(n=2, generators=["z[1,1]"], limits={"max_degree": 3}), path
     )
     code, _, _ = run(capsys, "member", "--file", str(path), "z[1,1]^2*z[2,2]^2")
@@ -467,11 +489,27 @@ def test_q_product_at_the_guard_and_far_powers_parse(capsys):
     assert (code, out, err) == (0, "q^1000000000*z[1,1]\n", "")
 
 
+def test_sum_of_fractions_at_the_guard_and_past_it(capsys):
+    # coprime denominators multiply: 32768 + 32769 - 1 powers of q at the
+    # guard, 2 * 32769 - 1 one past it
+    expr = "z[1,1]/(q^32767+1) + z[1,1]/(q^32768+1)"
+    code, out, err = run(capsys, "nf", "--n", "2", expr)
+    assert (code, err) == (0, "")
+    assert out == "(q^32768 + q^32767 + 2)/(q^65535 + q^32768 + q^32767 + 1)*z[1,1]\n"
+    for expr, span in (
+        ("z[1,1]/(q^32768+1) + z[1,1]/(q^32768+2)", 65537),
+        ("z[1,1]/(q^40000+1) + z[1,1]/(q^40000+2)", 80001),
+    ):
+        code, out, err = run(capsys, "nf", "--n", "2", expr)
+        assert (code, out) == (3, "")
+        assert err == f"error: sum spans {span} powers of q, past the guard 65536\n"
+
+
 def test_negative_pair_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gb", *DIAG, "--max-pairs", "-1")
     assert (code, out, err) == (2, "", "error: pair budget must be >= 0, got -1\n")
     path = tmp_path / "negative.json"
-    save_ideal(IdealFile(n=2, generators=["z[1,1]"], limits={"max_pairs": -1}), path)
+    write_ideal(IdealFile(n=2, generators=["z[1,1]"], limits={"max_pairs": -1}), path)
     code, out, _ = run(capsys, "gb", "--file", str(path))
     assert (code, out) == (2, "")
     # a budget of 0 is valid: the run stops before the first S-polynomial

@@ -11,6 +11,7 @@ from quantmat.dimension import (
     eliminate_prefix,
     gk_dimension,
     hilbert_count,
+    hilbert_counts,
     leading_staircase,
     make_staircase,
 )
@@ -21,6 +22,7 @@ from oracles import (
     binomial_count,
     brute_hilbert_count,
     growth_degree,
+    hitting_set_gk,
     prefix_intersection_found,
     quantum_minors,
 )
@@ -35,6 +37,11 @@ def _diag_basis(sys2):
 def test_make_staircase_filters_to_antichain():
     st = make_staircase(3, [(1, 0, 0), (1, 1, 0), (0, 0, 2), (1, 0, 0)])
     assert st.mins == ((1, 0, 0), (0, 0, 2))
+    # support masks cover the first 64 generators; exponents decide past them
+    a, b, c = ([0] * 70 for _ in range(3))
+    a[65], b[65], b[66], c[66] = 1, 1, 1, 2
+    st = make_staircase(70, [tuple(b), tuple(a), tuple(c)])
+    assert set(st.mins) == {tuple(a), tuple(c)}
 
 
 def test_staircase_rejects_non_antichain():
@@ -154,30 +161,27 @@ def test_hilbert_unit_ideal_and_no_variables():
     assert all(hilbert_count(none, d) == 0 for d in range(1, 6))
 
 
-def _series_gk(st):
-    """dim minus the multiplicity of t = 1 as a root of the numerator."""
-    num = dimension._numerator(st.mins)
-    if not any(num):
-        return 0
-    mult = 0
-    while True:
-        # synthetic division by (t - 1)
-        quot, acc = [], 0
-        for c in reversed(num):
-            acc += c
-            quot.append(acc)
-        if quot.pop() != 0:
-            return st.dim - mult
-        num = quot[::-1]
-        mult += 1
-
-
-def test_gk_matches_series_pole_order(sys3):
+def test_gk_matches_hitting_set_reference(sys3):
+    # the series pole order against the combinatorial definition
     for st in _random_staircases(1992, 150):
-        assert gk_dimension(st) == _series_gk(st), st
-    assert _series_gk(Staircase(3, ((0, 0, 0),))) == 0
+        assert gk_dimension(st) == hitting_set_gk(st.mins, st.dim), st
     minors = _minors_staircase(sys3)
-    assert gk_dimension(minors) == _series_gk(minors) == 5
+    assert gk_dimension(minors) == hitting_set_gk(minors.mins, 9) == 5
+    for st in (
+        Staircase(3, ((0, 0, 0),)),  # unit
+        Staircase(3, ()),  # zero
+        Staircase(0, ()),  # no variables
+        Staircase(0, ((),)),  # no variables, unit
+    ):
+        assert gk_dimension(st) == hitting_set_gk(st.mins, st.dim), st
+
+
+def test_hilbert_counts_match_single_counts():
+    for st in _random_staircases(1997, 60):
+        assert hilbert_counts(st, 10) == [hilbert_count(st, d) for d in range(11)], st
+    for dim in range(3):
+        for st in (Staircase(dim, ()), Staircase(dim, ((0,) * dim,))):
+            assert hilbert_counts(st, 4) == [hilbert_count(st, d) for d in range(5)]
 
 
 def test_hilbert_rejects_negative_degree():

@@ -338,14 +338,15 @@ def test_reduced_basis_canonical_under_shuffle(sys2):
 def test_interreduce_head_reduction(sys2):
     z11 = _gp(sys2, 0)
     f = sys2.poly_mul(z11, z11) + _gp(sys2, 3)
-    assert _interreduce([z11, f], sys2) == [z11, _gp(sys2, 3)]
+    assert _interreduce([z11, f], gb._Lifts(sys2)) == [z11, _gp(sys2, 3)]
 
 
 def test_interreduce_idempotent_and_monic(sys2):
     two_z = scalar_mul(QRat.from_rational(2), _gp(sys2, 0))
-    red = _interreduce([two_z], sys2)
+    lifts = gb._Lifts(sys2)
+    red = _interreduce([two_z], lifts)
     assert red == [_gp(sys2, 0)]
-    assert _interreduce(red, sys2) == red
+    assert _interreduce(red, lifts) == red
 
 
 _INTERREDUCE_SYSTEMS = {
@@ -380,13 +381,15 @@ def test_interreduce_matches_fixpoint_reference(name):
     sys = _INTERREDUCE_SYSTEMS[name]()
     lm_drops = []
 
-    def divide(f, G, sys):
-        qs, r = left_divide(f, G, sys)
+    remainder = gb._remainder
+
+    def divide(f, G, lifts):
+        r = remainder(f, G, lifts)
         if any(_coef_bits(c) > _MAX_COEF_BITS for c, _ in r.terms):
             raise _Swell
         if not r.is_zero() and r.lm() != f.lm():
             lm_drops.append(f)
-        return qs, r
+        return r
 
     @settings(deadline=None, max_examples=60)
     @given(rng=st.randoms(use_true_random=False), size=st.integers(2, 5))
@@ -397,8 +400,8 @@ def test_interreduce_matches_fixpoint_reference(name):
             assume(not any(p.is_zero() for p in elems))
         try:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(gb, "left_divide", divide)
-                swept = _interreduce(elems, sys)
+                mp.setattr(gb, "_remainder", divide)
+                swept = _interreduce(elems, gb._Lifts(sys))
         except _Swell:
             reject()
         assert swept == fixpoint_interreduce(elems, sys)
@@ -415,9 +418,9 @@ def test_interreduce_divides_each_element_once(sys3, monkeypatch):
     gens.append(parse_poly("z[1,1] + z[2,2] + z[3,3] - 2", sys3))
     handed = []
 
-    def capture(elems, sys, lifts):
+    def capture(elems, lifts):
         handed.append(list(elems))
-        return _interreduce(elems, sys, lifts)
+        return _interreduce(elems, lifts)
 
     monkeypatch.setattr(gb, "_interreduce", capture)
     G = buchberger(gens, sys3)
@@ -432,7 +435,7 @@ def test_interreduce_divides_each_element_once(sys3, monkeypatch):
         return remainder(f, G, lifts)
 
     monkeypatch.setattr(gb, "_remainder", divide)
-    assert tuple(_interreduce(elems, sys3, gb._Lifts(sys3))) == G.elements
+    assert tuple(_interreduce(elems, gb._Lifts(sys3))) == G.elements
     assert len(divided) == len(elems) and set(divided) == set(elems)
 
 

@@ -170,6 +170,23 @@ def test_sum_of_far_apart_powers_is_guarded():
         assert str(info.value) == f"sum spans {span} powers of q, past the guard 65536"
 
 
+def test_sum_of_fractions_is_guarded():
+    # with coprime denominators the sum's denominator is their product,
+    # stored dense; it may span at most 65536 powers of q
+    a, b, c = QRat.q_power(32767) + ONE, QRat.q_power(32768) + ONE, QRat.q_power(40000)
+    at_guard = ONE / a + ONE / b
+    assert at_guard.den == (a * b).num and len(at_guard.den) == 65536
+    past = (
+        (ONE / b, ONE / (b + ONE), 65537),
+        (Q / b, ONE / (b + ONE), 65537),  # a numerator above one side
+        (ONE / (c + ONE), ONE / (c + ONE + ONE), 80001),
+    )
+    for x, y, span in past:
+        with pytest.raises(DegreeGuardExceeded) as info:
+            x + y
+        assert str(info.value) == f"sum spans {span} powers of q, past the guard 65536"
+
+
 def test_product_of_far_apart_powers_is_guarded():
     # a symbolic product's numerator and denominator are stored dense; each
     # may span at most 65536 powers of q

@@ -29,10 +29,16 @@ from quantmat.textio import (
     format_poly,
     load_ideal,
     parse_poly,
-    save_ideal,
 )
 
-from oracles import naive_poly_mul, qrat, rand_poly, view_format_qrat
+from oracles import (
+    ideal_json,
+    naive_poly_mul,
+    qrat,
+    rand_poly,
+    view_format_qrat,
+    write_ideal,
+)
 
 SYS2_AT_2 = build_mq(MqSpec(2, QMode.numeric(2)))
 
@@ -180,11 +186,11 @@ def test_ideal_file_roundtrip(tmp_path):
         generators=["z[1,1]", "z[2,2]"],
         limits={"max_degree": 32},
     )
-    d = ideal.to_json_dict()
+    d = ideal_json(ideal)
     assert d["schema"] == 1
     assert IdealFile.from_json_dict(d) == ideal
     path = tmp_path / "ideal.json"
-    save_ideal(ideal, path)
+    write_ideal(ideal, path)
     raw = json.loads(path.read_text())
     assert raw["schema"] == 1
     assert load_ideal(path) == ideal
@@ -196,7 +202,7 @@ def test_ideal_file_validation():
         IdealFile(n=1, generators=["z[1,1]"])
     with pytest.raises(InvalidSpec):
         IdealFile(n=2, q="0", generators=["z[1,1]"])
-    good = IdealFile(n=2, generators=[]).to_json_dict()
+    good = ideal_json(IdealFile(n=2, generators=[]))
     assert good["ordering"] == "paperlex"
     for key, value in (("schema", 2), ("ordering", "deglex")):
         with pytest.raises(InvalidSpec):
